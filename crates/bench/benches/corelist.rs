@@ -2,7 +2,7 @@
 //! selection, similarity-graph construction, and the four narrowing
 //! methods.
 
-use comparesets_core::{solve_comparesets_plus, SelectParams};
+use comparesets_core::{solve_with, Algorithm, SelectParams, SolveOptions};
 use comparesets_graph::{
     solve_exact, solve_greedy, solve_top_k_similarity, ExactOptions, SimilarityGraph,
 };
@@ -10,10 +10,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_corelist(c: &mut Criterion) {
+    let opts = SolveOptions::default();
     let dataset = comparesets_bench::corpus();
     let ctx = comparesets_bench::instance(&dataset, 8);
     let params = SelectParams::default();
-    let selections = solve_comparesets_plus(&ctx, &params);
+    let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
 
     let mut g = c.benchmark_group("table6_corelist");
     g.sample_size(20);

@@ -1,13 +1,14 @@
 //! Figure 11 workload: π/φ vector construction and the information-loss
 //! measures across review budgets.
 
-use comparesets_core::{solve_comparesets_plus, SelectParams, Selection};
+use comparesets_core::{solve_with, Algorithm, SelectParams, Selection, SolveOptions};
 use comparesets_linalg::vector::{cosine_similarity, sq_distance};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 #[allow(clippy::needless_range_loop)] // index loops read clearest here
 fn bench_infoloss(c: &mut Criterion) {
+    let opts = SolveOptions::default();
     let dataset = comparesets_bench::corpus();
     let ctx = comparesets_bench::instance(&dataset, 4);
     let mut g = c.benchmark_group("fig11_infoloss");
@@ -18,7 +19,7 @@ fn bench_infoloss(c: &mut Criterion) {
             lambda: 1.0,
             mu: 0.1,
         };
-        let sels = solve_comparesets_plus(&ctx, &params);
+        let sels = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
         g.bench_with_input(BenchmarkId::new("pi_and_loss", m), &sels, |b, sels| {
             b.iter(|| {
                 let mut total = 0.0;

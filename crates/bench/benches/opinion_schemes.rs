@@ -1,10 +1,13 @@
 //! Table 4 workload: CompaReSetS under the three opinion definitions.
 
-use comparesets_core::{solve_comparesets, InstanceContext, OpinionScheme, SelectParams};
+use comparesets_core::{
+    solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 fn bench_schemes(c: &mut Criterion) {
+    let opts = SolveOptions::default();
     let dataset = comparesets_bench::corpus();
     let raw = dataset
         .instances()
@@ -20,7 +23,9 @@ fn bench_schemes(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("comparesets", scheme.name()),
             &ctx,
-            |b, ctx| b.iter(|| black_box(solve_comparesets(ctx, &params))),
+            |b, ctx| {
+                b.iter(|| black_box(solve_with(ctx, Algorithm::CompareSets, &params, 0, &opts)))
+            },
         );
     }
     g.finish();

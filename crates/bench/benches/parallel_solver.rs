@@ -1,6 +1,6 @@
-//! The PR's headline workloads: the shared-path Gram-cached regression
-//! engine against the naive per-budget reference, and the parallel solver
-//! entry points against their sequential twins.
+//! The regression engine's headline workloads: the shared-path
+//! Gram-cached engine against the naive per-budget reference, and
+//! warm-started alternation against the cold engine.
 //!
 //! Besides the criterion console output, this bench writes
 //! `BENCH_parallel_solver.json` at the workspace root with the measured
@@ -17,11 +17,10 @@
 //! can exercise every bench body without touching the committed baseline.
 
 use comparesets_bench::{BenchReport, Measurement};
-use comparesets_core::{
-    solve_comparesets_plus_sweeps_with, solve_comparesets_plus_with, solve_crs_with, SelectParams,
-    SolveOptions,
+use comparesets_core::{solve_comparesets_plus_sweeps_with, SelectParams, SolveCtl, SolveOptions};
+use comparesets_linalg::{
+    nomp_path, nomp_reference, CscMatrix, Matrix, NompOptions, NompWorkspace,
 };
-use comparesets_linalg::{nomp_path, nomp_reference, CscMatrix, Matrix, NompOptions};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -65,7 +64,9 @@ fn naive_budget_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
 /// The new engine: one shared Gram-cached pursuit snapshotting every
 /// budget along the way.
 fn shared_path_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
-    black_box(nomp_path(a, b, NompOptions::with_max_atoms(l_max)).unwrap());
+    let mut ws = NompWorkspace::new();
+    let opts = NompOptions::with_max_atoms(l_max);
+    black_box(nomp_path(a, b, opts, &mut ws, SolveCtl::default()).unwrap());
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -84,26 +85,6 @@ fn bench_engine(c: &mut Criterion) {
             &sparse,
             |bch, m| bch.iter(|| shared_path_sweep(m, &b, l_max)),
         );
-    }
-    g.finish();
-}
-
-fn bench_solvers(c: &mut Criterion) {
-    let dataset = comparesets_bench::corpus();
-    let ctx = comparesets_bench::instance(&dataset, 8);
-    let params = SelectParams::default();
-    let mut g = c.benchmark_group("solver_parallel");
-    g.sample_size(10);
-    for (label, opts) in [
-        ("sequential", SolveOptions::sequential()),
-        ("parallel", SolveOptions::parallel()),
-    ] {
-        g.bench_function(format!("crs/{label}"), |bch| {
-            bch.iter(|| black_box(solve_crs_with(&ctx, params.m, &opts)))
-        });
-        g.bench_function(format!("comparesets_plus/{label}"), |bch| {
-            bch.iter(|| black_box(solve_comparesets_plus_with(&ctx, &params, &opts)))
-        });
     }
     g.finish();
 }
@@ -133,7 +114,7 @@ fn bench_alternation(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_engine, bench_solvers, bench_alternation);
+criterion_group!(benches, bench_engine, bench_alternation);
 
 // ---------------------------------------------------------------------
 // JSON report
@@ -172,26 +153,6 @@ fn emit_json() {
     let dataset = comparesets_bench::corpus();
     let ctx = comparesets_bench::instance(&dataset, 8);
     let params = SelectParams::default();
-    for (label, opts) in [
-        ("sequential", SolveOptions::sequential()),
-        ("parallel", SolveOptions::parallel()),
-    ] {
-        measurements.push(Measurement {
-            name: format!("solver_parallel/crs/{label}"),
-            seconds_min: time_min(SAMPLES, || {
-                black_box(solve_crs_with(&ctx, params.m, &opts));
-            }),
-            samples: SAMPLES,
-        });
-        measurements.push(Measurement {
-            name: format!("solver_parallel/comparesets_plus/{label}"),
-            seconds_min: time_min(SAMPLES, || {
-                black_box(solve_comparesets_plus_with(&ctx, &params, &opts));
-            }),
-            samples: SAMPLES,
-        });
-    }
-
     for sweeps in 1..=4usize {
         for (label, warm) in [("cold", false), ("warm", true)] {
             let opts = SolveOptions::sequential().with_warm_start(warm);

@@ -1,11 +1,12 @@
 //! Figure 7 workload: runtime scaling of every algorithm with the number
 //! of comparative items (this bench *is* the figure's measurement).
 
-use comparesets_core::{solve, Algorithm, SelectParams};
+use comparesets_core::{solve_with, Algorithm, SelectParams, SolveOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 fn bench_scaling(c: &mut Criterion) {
+    let opts = SolveOptions::default();
     let dataset = comparesets_bench::corpus();
     let mut g = c.benchmark_group("fig7_runtime_scaling");
     g.sample_size(15);
@@ -18,7 +19,7 @@ fn bench_scaling(c: &mut Criterion) {
         ] {
             let params = SelectParams::default();
             g.bench_with_input(BenchmarkId::new(alg.name(), n_comp), &ctx, |b, ctx| {
-                b.iter(|| black_box(solve(ctx, alg, &params, 1)))
+                b.iter(|| black_box(solve_with(ctx, alg, &params, 1, &opts)))
             });
         }
     }

@@ -1,7 +1,7 @@
 //! Table 7 workload: latent-utility measurement and simulated panel
 //! rating.
 
-use comparesets_core::{solve_comparesets_plus, SelectParams};
+use comparesets_core::{solve_with, Algorithm, SelectParams, SolveOptions};
 use comparesets_eval::userstudy::{latent_utility, rate_example, LatentUtility};
 use comparesets_eval::{EvalConfig, PreparedInstance};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -18,9 +18,10 @@ fn prepared() -> PreparedInstance {
 }
 
 fn bench_userstudy(c: &mut Criterion) {
+    let opts = SolveOptions::default();
     let inst = prepared();
     let params = SelectParams::default();
-    let selections = solve_comparesets_plus(&inst.ctx, &params);
+    let selections = solve_with(&inst.ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     let items: Vec<usize> = (0..inst.ctx.num_items().min(3)).collect();
 
     let mut g = c.benchmark_group("table7_userstudy");

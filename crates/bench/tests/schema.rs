@@ -38,10 +38,6 @@ fn committed_bench_baseline_matches_schema() {
         "missing regression_engine workloads: {names:?}"
     );
     assert!(
-        names.iter().any(|n| n.starts_with("solver_parallel/")),
-        "missing solver_parallel workloads: {names:?}"
-    );
-    assert!(
         names.iter().any(|n| n.starts_with("alternation/")),
         "missing alternation (warm vs cold) workloads: {names:?}"
     );

@@ -60,6 +60,11 @@ impl Args {
         }
     }
 
+    /// The names of every `--flag` given, in no particular order.
+    pub fn flags(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     /// Positional arguments.
     pub fn positional(&self) -> &[String] {
         &self.positional

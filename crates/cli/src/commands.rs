@@ -33,15 +33,16 @@ commands:
   select          --corpus FILE --target ID [--m N] [--lambda X] [--mu X]
                   [--algorithm random|crs|greedy|comparesets|comparesets+]
                   [--max-comparatives N] [--scheme binary|3-polarity|unary-scale] [--seed S]
-                  [--parallel true] [--threads N] [--warm-start false]
+                  [--warm-start false]
                   [--backend auto|dense|sparse]  design-matrix storage (selection-invariant)
                   [--strict true]      fail (exit 5) instead of degrading on numerical faults
   narrow          --corpus FILE --target ID [--k N] [--method exact|greedy|topk|random|peel]
                   [--m N] [--lambda X] [--mu X] [--time-limit-ms N] [--seed S]
-                  [--parallel true] [--threads N] [--warm-start false]
-                  [--backend auto|dense|sparse]
+                  [--max-comparatives N] [--warm-start false] [--backend auto|dense|sparse]
+                  [--threads N]        branch-and-bound worker threads (--method exact)
   eval            [--out FILE] [--scale N] [--config tiny|default] [--experiments a,b,...]
                   [--checkpoint-dir DIR] [--resume true]
+                  [--warm-start false] [--backend auto|dense|sparse]
                   run the reproduction suite; the deterministic report (no
                   wall-clock lines) is written atomically to --out
   serve           --corpus FILE[,FILE...] [--addr HOST:PORT] [--workers N]
@@ -71,6 +72,8 @@ commands:
                   full, bit flips, crashes) and verify every acknowledged
                   event recovers intact; any violation exits 4
   help            print this text
+
+select, narrow and eval reject any flag not listed for them (exit 2).
 
 long-run flags (select, narrow, eval):
   --timeout SECS       cooperative deadline: iterative solvers stop at the
@@ -361,21 +364,32 @@ fn matrix_backend(args: &Args) -> Result<MatrixBackend, String> {
     }
 }
 
-/// Parse `--parallel true` / `--threads N` / `--warm-start BOOL` /
-/// `--backend NAME` / `--timeout SECS` into [`SolveOptions`]. A thread
-/// count implies parallelism; the selections are identical either way,
-/// and the optional `--metrics-json` collector only observes, never
-/// steers. Warm starts default on and are selection-invariant too —
-/// `--warm-start false` forces every alternating sweep to solve from
-/// scratch (the cold baseline the `alternation/*` benches compare
-/// against). A timeout arms a cooperative deadline: iterative solvers
-/// stop at their next cancellation check.
+/// Flags every command accepts (observability).
+const GLOBAL_FLAGS: &[&str] = &["trace", "metrics-json"];
+
+/// Flags [`solve_options`] reads.
+const SOLVE_FLAGS: &[&str] = &["warm-start", "backend", "timeout"];
+
+/// Reject every flag of `args` that `command` does not read, naming it:
+/// a misspelt or retired flag is a usage error (exit 2), never a silent
+/// no-op. Called before the filesystem is touched (see [`cmd_select`]).
+fn accept_only(args: &Args, command: &str, flags: &[&str]) -> Result<(), String> {
+    let known = [flags, SOLVE_FLAGS, GLOBAL_FLAGS].concat();
+    match args.flags().filter(|flag| !known.contains(flag)).min() {
+        Some(flag) => Err(format!("{command}: unknown flag --{flag}")),
+        None => Ok(()),
+    }
+}
+
+/// Parse `--warm-start BOOL` / `--backend NAME` / `--timeout SECS` into
+/// [`SolveOptions`]. The optional `--metrics-json` collector only
+/// observes, never steers. Warm starts default on and are
+/// selection-invariant — `--warm-start false` forces every alternating
+/// sweep to solve from scratch (the cold baseline the `alternation/*`
+/// benches compare against). A timeout arms a cooperative deadline:
+/// iterative solvers stop at their next cancellation check.
 fn solve_options(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<SolveOptions, String> {
-    let parallel: bool = args.get_or("parallel", false)?;
-    let threads: usize = args.get_or("threads", 0)?;
     Ok(SolveOptions {
-        parallel: parallel || threads > 0,
-        threads: (threads > 0).then_some(threads),
         warm_start: args.get_or("warm-start", true)?,
         backend: matrix_backend(args)?,
         metrics,
@@ -407,6 +421,22 @@ fn solve_strict(
 fn cmd_select(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
     // Validate every flag before touching the filesystem: a usage error
     // must not depend on whether the corpus happens to be readable.
+    accept_only(
+        args,
+        "select",
+        &[
+            "corpus",
+            "target",
+            "m",
+            "lambda",
+            "mu",
+            "algorithm",
+            "max-comparatives",
+            "scheme",
+            "seed",
+            "strict",
+        ],
+    )?;
     let target: u32 = args.get_or("target", u32::MAX)?;
     if target == u32::MAX {
         return Err(CliError::usage("missing required flag --target"));
@@ -459,6 +489,23 @@ fn cmd_select(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
 
 fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
     // Flags first, filesystem second (see cmd_select).
+    accept_only(
+        args,
+        "narrow",
+        &[
+            "corpus",
+            "target",
+            "k",
+            "method",
+            "max-comparatives",
+            "m",
+            "lambda",
+            "mu",
+            "seed",
+            "time-limit-ms",
+            "threads",
+        ],
+    )?;
     let target: u32 = args.get_or("target", u32::MAX)?;
     if target == u32::MAX {
         return Err(CliError::usage("missing required flag --target"));
@@ -479,7 +526,7 @@ fn cmd_narrow(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String
     let selections = if opts.cancel.is_some() {
         solve_strict(&ctx, Algorithm::CompareSetsPlus, &params, seed, &opts)?
     } else {
-        comparesets_core::solve_comparesets_plus_with(&ctx, &params, &opts)
+        solve_with(&ctx, Algorithm::CompareSetsPlus, &params, seed, &opts)
     };
     let graph = SimilarityGraph::from_selections(&ctx, &selections, params.lambda, params.mu);
     let vertices = match method.as_str() {
@@ -751,6 +798,18 @@ fn cmd_chaos(args: &Args, _metrics: Option<Arc<SolverMetrics>>) -> Result<String
 fn cmd_eval(args: &Args, metrics: Option<Arc<SolverMetrics>>) -> Result<String, CliError> {
     use comparesets_eval::{run_suite, run_suite_checkpointed, standard_suite, CheckpointStore};
 
+    accept_only(
+        args,
+        "eval",
+        &[
+            "config",
+            "scale",
+            "experiments",
+            "resume",
+            "checkpoint-dir",
+            "out",
+        ],
+    )?;
     let mut cfg = match args.get("config").unwrap_or("default") {
         "tiny" => comparesets_eval::EvalConfig::tiny(),
         "default" => comparesets_eval::EvalConfig::scaled(args.get_or("scale", 1)?),
@@ -817,10 +876,17 @@ mod tests {
         dispatch(&v)
     }
 
+    /// A corpus path no other test in this (or any concurrent) test
+    /// process uses: tests run on parallel threads, so the process id
+    /// alone would hand every test the same file.
     fn temp_corpus() -> String {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let thread = std::thread::current();
+        let test = thread.name().unwrap_or("test").replace("::", "_");
         let dir = std::env::temp_dir().join("comparesets_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("corpus_{}.json", std::process::id()));
+        let path = dir.join(format!("corpus_{}_{n}_{test}.json", std::process::id()));
         path.to_string_lossy().into_owned()
     }
 
@@ -1004,7 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flags_do_not_change_output() {
+    fn execution_flags_do_not_change_output() {
         let path = temp_corpus();
         run(&[
             "generate",
@@ -1033,13 +1099,9 @@ mod tests {
             target.as_str(),
         ];
         let sequential = run(&base).unwrap();
-        let parallel = run(&[&base[..], &["--parallel", "true"]].concat()).unwrap();
-        let pinned = run(&[&base[..], &["--threads", "2"]].concat()).unwrap();
         let cold = run(&[&base[..], &["--warm-start", "false"]].concat()).unwrap();
         let dense = run(&[&base[..], &["--backend", "dense"]].concat()).unwrap();
         let sparse = run(&[&base[..], &["--backend", "sparse"]].concat()).unwrap();
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential, pinned);
         assert_eq!(sequential, cold);
         assert_eq!(sequential, dense);
         assert_eq!(sequential, sparse);
@@ -1048,6 +1110,29 @@ mod tests {
             .to_string()
             .contains("--backend"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unread_flags_are_usage_errors_before_the_corpus_is_touched() {
+        // The corpus does not exist: a flag error must win over the io
+        // error, and must name the flag.
+        let select = ["select", "--corpus", "/nonexistent/c.json", "--target", "0"];
+        for extra in [["--parallel", "true"], ["--threads", "2"], ["--sweps", "3"]] {
+            let e = run(&[&select[..], &extra[..]].concat()).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Usage, "{extra:?}: {e}");
+            assert_eq!(e.exit_code(), 2);
+            assert!(e.to_string().contains(extra[0]), "{e}");
+        }
+        let narrow = ["narrow", "--corpus", "/nonexistent/c.json", "--target", "0"];
+        let e = run(&[&narrow[..], &["--parallel", "true"]].concat()).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(e.to_string().contains("--parallel"), "{e}");
+        let e = run(&["eval", "--config", "tiny", "--threads", "2"]).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(e.to_string().contains("--threads"), "{e}");
+        // Every flag a command reads still passes the check.
+        let e = run(&[&narrow[..], &["--threads", "2", "--method", "exact"]].concat()).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Io, "{e}");
     }
 
     #[test]

@@ -1,46 +1,43 @@
 //! CompaReSetS (Problem 1) and CompaReSetS+ (Problem 2, Algorithm 1).
 //!
-//! * [`solve_comparesets`] solves Equation 1: per item, Integer-Regression
-//!   against the concatenated target `[τᵢ; λ·Γ]` (Equation 4).
-//! * [`solve_comparesets_plus`] runs Algorithm 1: start from the
-//!   CompaReSetS solutions, then for each item rebuild the regression
-//!   with the extended target `Υ = [τᵢ; λΓ; μφ(S₁); …; μφ(Sₙ)]` (other
-//!   items' current selections) and accept the re-selection only when it
-//!   lowers the per-item synchronized objective (lines 10–12).
+//! * CompaReSetS solves Equation 1: per item, Integer-Regression against
+//!   the concatenated target `[τᵢ; λ·Γ]` (Equation 4).
+//! * CompaReSetS+ runs Algorithm 1: start from the CompaReSetS solutions,
+//!   then for each item rebuild the regression with the extended target
+//!   `Υ = [τᵢ; λΓ; μφ(S₁); …; μφ(Sₙ)]` (other items' current selections)
+//!   and accept the re-selection only when it lowers the per-item
+//!   synchronized objective (lines 10–12).
 //!
-//! ## Parallel execution
-//!
-//! The per-item regressions of CompaReSetS are independent, so the
-//! `_with` variants fan them out over rayon when
-//! [`SolveOptions::parallel`] is set. Results are collected **in item
-//! order**, never completion order, so parallel and sequential runs
-//! return identical selections. The alternating sweeps of CompaReSetS+
-//! are Gauss–Seidel — item `i` reads the other items' *current*
-//! selections — and therefore stay sequential by construction; the
-//! parallel knob accelerates their CompaReSetS seed (and each per-item
-//! step reuses one solver workspace across the whole sweep phase).
+//! Both run behind [`crate::solve_with`] and [`crate::solve_checked`];
+//! the sweep count and caller-held warm states of CompaReSetS+ are exposed
+//! through the `solve_comparesets_plus_sweeps_*` functions below. One
+//! per-item driver (`solve_items`, shared with CRS) and one Gauss–Seidel
+//! alternation loop (`solve_comparesets_plus`) serve the lenient and the
+//! checked paths alike; a private failure policy (`OnFailure`) is the
+//! only difference between them. Execution is sequential: item `i` of a
+//! sweep reads the other items' *current* selections, and every
+//! per-item step reuses one solver workspace.
 
 use comparesets_linalg::vector::sq_distance;
-use comparesets_linalg::{with_pooled_workspace, NompWorkspace};
-use rayon::prelude::*;
+use comparesets_linalg::NompWorkspace;
 
 use crate::error::{validate_params, CoreError};
 use crate::instance::{InstanceContext, Selection};
 use crate::integer_regression::{
-    integer_regression_ctl, integer_regression_session_ctl, try_integer_regression_ctl,
-    try_integer_regression_session_ctl, DedupColumns, RegressionTask, RegressionWarm,
+    regress, session_regress, DedupColumns, OnFailure, RegressionTask, RegressionWarm,
 };
 use crate::{SelectParams, SolveOptions, SolverMetrics};
+
+/// One result per item, in item order: a selection, or the item's
+/// classified failure.
+pub(crate) type Slots = Vec<Result<Selection, CoreError>>;
 
 /// Post-batch deadline classification shared by the checked solvers: when
 /// the options' token fired during the solve, the per-item results are
 /// suspect (items may have degraded to their fallback), so the batch is
 /// reported as [`CoreError::DeadlineExceeded`] carrying the feasible
 /// best-so-far selections (failed slots contribute an empty selection).
-pub(crate) fn classify_deadline(
-    slots: Vec<Result<Selection, CoreError>>,
-    opts: &SolveOptions,
-) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
+pub(crate) fn classify_deadline(slots: Slots, opts: &SolveOptions) -> Result<Slots, CoreError> {
     if !opts.cancel_fired() {
         return Ok(slots);
     }
@@ -53,152 +50,258 @@ pub(crate) fn classify_deadline(
     })
 }
 
-/// Solve CompaReSetS (Problem 1): independent Integer-Regression per item
-/// with target `[τᵢ; λΓ]`.
-pub fn solve_comparesets(ctx: &InstanceContext, params: &SelectParams) -> Vec<Selection> {
-    solve_comparesets_with(ctx, params, &SolveOptions::default())
-}
-
-/// [`solve_comparesets`] with execution options: when
-/// [`SolveOptions::parallel`] is set the per-item regressions run on
-/// rayon's pool (collected in item order — results are identical to the
-/// sequential path).
-pub fn solve_comparesets_with(
-    ctx: &InstanceContext,
-    params: &SelectParams,
-    opts: &SolveOptions,
-) -> Vec<Selection> {
-    let lambda = params.lambda;
-    let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let gamma = ctx.gamma();
-        let task =
-            RegressionTask::build_with(ctx.space(), item, tau, &[(gamma, lambda)], opts.backend);
-        integer_regression_ctl(
-            &task,
-            params.m,
-            |sel| crate::objective::item_objective(ctx, i, sel, lambda),
-            ws,
-            ctl,
-        )
-    };
-    if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
-        })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    }
-}
-
-/// Checked variant of [`solve_comparesets_with`]: validates the parameters
-/// up front and isolates numerical failures per item.
+/// The lenient answer: every slot's selection. Under
+/// [`OnFailure::Fallback`] the regressions never fail, so an `Err` slot
+/// can only come from a malformed context whose target blocks do not fit
+/// its vector space.
 ///
-/// The outer `Err` reports structurally invalid parameters (m = 0,
-/// non-finite λ/μ) before any item is touched. The inner vector has one
-/// slot per item, in item order: a degenerate item (e.g. NaN-contaminated
-/// features) yields `Err(CoreError::Solver { item, .. })` in its slot
-/// while every other item still solves — the rayon fan-out is
-/// failure-isolated, one bad item never poisons the batch. On well-posed
-/// inputs every slot is `Ok` and bit-identical to the unchecked solver.
-///
-/// # Errors
-/// [`CoreError::InvalidParams`] on bad parameters (outer); per-item
-/// [`CoreError::Solver`] in the slots (inner);
-/// [`CoreError::DeadlineExceeded`] with the feasible best-so-far
-/// selections when the options' cancellation token fired mid-solve.
-pub fn solve_comparesets_checked(
+/// # Panics
+/// On such a malformed context.
+pub(crate) fn fallback_selections(slots: Slots) -> Vec<Selection> {
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|e| panic!("malformed instance context: {e}")))
+        .collect()
+}
+
+/// The per-item driver behind CRS and CompaReSetS: one independent
+/// Integer-Regression per item against `[τᵢ; aspect_targets]` (the same
+/// aspect blocks for every item), scored by `evaluate(i, selection)`.
+/// A failed item lands as `Err` in its slot — its task build reports
+/// [`CoreError::DimensionMismatch`], its relaxation [`CoreError::Solver`]
+/// under [`OnFailure::Report`] — while every other item still solves.
+pub(crate) fn solve_items(
     ctx: &InstanceContext,
-    params: &SelectParams,
+    m: usize,
+    aspect_targets: &[(&[f64], f64)],
+    evaluate: impl Fn(usize, &Selection) -> f64,
     opts: &SolveOptions,
-) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
-    validate_params(params)?;
-    let lambda = params.lambda;
+    on_failure: OnFailure,
+) -> Slots {
     let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| -> Result<Selection, CoreError> {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let gamma = ctx.gamma();
-        let task = RegressionTask::try_build_with(
-            ctx.space(),
-            item,
-            tau,
-            &[(gamma, lambda)],
-            opts.backend,
-        )?;
-        try_integer_regression_ctl(
-            &task,
-            params.m,
-            |sel| crate::objective::item_objective(ctx, i, sel, lambda),
-            ws,
-            ctl,
-        )
-        .map_err(|source| CoreError::Solver { item: i, source })
-    };
-    let slots = if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
+    let mut ws = NompWorkspace::new();
+    (0..ctx.num_items())
+        .map(|i| {
+            let task = RegressionTask::build(
+                ctx.space(),
+                ctx.item(i),
+                ctx.tau(i),
+                aspect_targets,
+                opts.backend,
+            )?;
+            let evaluate = |sel: &Selection| evaluate(i, sel);
+            regress(&task, m, evaluate, &mut ws, None, on_failure, ctl)
+                .map_err(|source| CoreError::Solver { item: i, source })
         })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    };
-    classify_deadline(slots, opts)
+        .collect()
 }
 
-/// Solve CompaReSetS+ (Problem 2) with one alternating sweep (Algorithm 1).
-pub fn solve_comparesets_plus(ctx: &InstanceContext, params: &SelectParams) -> Vec<Selection> {
-    solve_comparesets_plus_sweeps(ctx, params, 1)
-}
-
-/// [`solve_comparesets_plus`] with execution options (see
-/// [`solve_comparesets_plus_sweeps_with`]).
-pub fn solve_comparesets_plus_with(
+/// CompaReSetS (Problem 1): independent Integer-Regression per item with
+/// target `[τᵢ; λΓ]`.
+pub(crate) fn solve_comparesets(
     ctx: &InstanceContext,
     params: &SelectParams,
     opts: &SolveOptions,
-) -> Vec<Selection> {
-    solve_comparesets_plus_sweeps_with(ctx, params, 1, opts)
+    on_failure: OnFailure,
+) -> Slots {
+    let lambda = params.lambda;
+    solve_items(
+        ctx,
+        params.m,
+        &[(ctx.gamma(), lambda)],
+        |i, sel| crate::objective::item_objective(ctx, i, sel, lambda),
+        opts,
+        on_failure,
+    )
 }
 
-/// Solve CompaReSetS+ with a configurable number of alternating sweeps.
-/// Algorithm 1 performs a single sweep `i = 1…n`; additional sweeps keep
-/// refining while each per-item step can only decrease the objective.
-pub fn solve_comparesets_plus_sweeps(
+/// CompaReSetS+ (Problem 2) with `sweeps` alternating Gauss–Seidel sweeps
+/// (Algorithm 1 performs one) and caller-held warm states.
+///
+/// The CompaReSetS seed runs through [`solve_comparesets`]; a failed item
+/// keeps its `Err` slot and is **excluded from the coupling**: healthy
+/// items synchronise among themselves as if it were absent. A sweep step
+/// whose build or solve fails keeps the item's current (valid) selection,
+/// matching the accept-only-if-better contract of Algorithm 1. Under
+/// [`OnFailure::Report`] a token that fired during the seed ends the
+/// solve there, before any sweep.
+pub(crate) fn solve_comparesets_plus(
     ctx: &InstanceContext,
     params: &SelectParams,
     sweeps: usize,
-) -> Vec<Selection> {
-    solve_comparesets_plus_sweeps_with(ctx, params, sweeps, &SolveOptions::default())
+    opts: &SolveOptions,
+    warm: &mut [RegressionWarm],
+    on_failure: OnFailure,
+) -> Slots {
+    let (lambda, mu) = (params.lambda, params.mu);
+    // Algorithm 1 input: solutions of CompaReSetS.
+    let mut slots = solve_comparesets(ctx, params, opts, on_failure);
+    let n = ctx.num_items();
+    if n <= 1 || mu == 0.0 {
+        // Coupling vanishes; CompaReSetS is already optimal for Eq. 5.
+        return slots;
+    }
+    if on_failure == OnFailure::Report && opts.cancel_fired() {
+        return slots;
+    }
+
+    // One pursuit workspace serves every per-item step of every sweep, and
+    // each item keeps a warm-start cache across sweeps: once the other
+    // items' selections stop changing, an item's extended target Υ repeats
+    // verbatim and the re-solve is served from cache (ARCHITECTURE.md §9).
+    let metrics = opts.metrics_ref();
+    let ctl = opts.ctl();
+    let span = tracing::debug_span!("comparesets_plus_alternation", items = n, sweeps = sweeps);
+    let _span_guard = span.enter();
+    let mut ws = NompWorkspace::new();
+    // The items are immutable for the whole solve, so each one's column
+    // grouping is computed once and shared by every warm reuse probe.
+    let dedups: Vec<DedupColumns> = if opts.warm_start {
+        (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect()
+    } else {
+        Vec::new()
+    };
+    // φ(Sⱼ) under each healthy item's current selection (`None` for a
+    // failed item), refreshed only when an accept changes the selection —
+    // φ is a pure function of the selection, so the cache is bit-identical
+    // to recomputing per round.
+    let mut phis: Vec<Option<Vec<f64>>> = slots
+        .iter()
+        .enumerate()
+        .map(|(j, slot)| {
+            let sel = slot.as_ref().ok()?;
+            Some(ctx.space().phi(ctx.item(j), &sel.indices))
+        })
+        .collect();
+    'sweeps: for _ in 0..sweeps {
+        for i in 0..n {
+            // Cancellation granularity: one poll per alternation round.
+            // Stopping here keeps the current selections — each completed
+            // round only ever improved them (accept-only-if-better), so
+            // the early exit is the anytime iterate.
+            if ctl.is_cancelled() {
+                break 'sweeps;
+            }
+            let Ok(current) = &slots[i] else {
+                continue;
+            };
+            if let Some(mm) = metrics {
+                SolverMetrics::incr(&mm.alternation_rounds);
+            }
+            // φ(Sⱼ) of every other healthy item, under its *current*
+            // selection; failed items contribute no coupling.
+            let other_phis: Vec<&[f64]> = (0..n)
+                .filter(|&j| j != i)
+                .filter_map(|j| phis[j].as_deref())
+                .collect();
+
+            // Per-item synchronized objective used for accept/reject
+            // (Algorithm 1 line 10): Eq. 3 plus μ² Σⱼ Δ(φ(Sᵢ), φ(Sⱼ)).
+            let item_plus_cost = |sel: &Selection| {
+                let base = crate::objective::item_objective(ctx, i, sel, lambda);
+                let phi = ctx.space().phi(ctx.item(i), &sel.indices);
+                let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
+                base + mu * mu * coupling
+            };
+
+            // Υ blocks: Γ with weight λ, then each φ(Sⱼ) with weight μ.
+            let mut aspect_targets: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
+            aspect_targets.push((ctx.gamma(), lambda));
+            for p in &other_phis {
+                aspect_targets.push((p, mu));
+            }
+            // Warm fast path: probe the cache against the stacked target
+            // before paying for the design-matrix build — on stabilised
+            // rounds the whole re-solve reduces to this comparison.
+            let reused = if opts.warm_start {
+                RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
+                    .ok()
+                    .and_then(|t| warm[i].probe_reuse(&dedups[i], &t, params.m, metrics))
+            } else {
+                None
+            };
+            // A failed build or solve keeps the current valid selection,
+            // so every error channel collapses to `None` here.
+            let candidate = if reused.is_some() {
+                reused
+            } else if opts.warm_start {
+                // Session path: the design matrix is parked inside
+                // warm[i] between rounds, so stabilised sweeps skip the
+                // O(q·rows) assembly and only re-stack the target.
+                session_regress(
+                    ctx.space(),
+                    ctx.item(i),
+                    ctx.tau(i),
+                    &aspect_targets,
+                    opts.backend,
+                    params.m,
+                    item_plus_cost,
+                    &mut ws,
+                    &mut warm[i],
+                    on_failure,
+                    ctl,
+                )
+                .ok()
+            } else {
+                RegressionTask::build(
+                    ctx.space(),
+                    ctx.item(i),
+                    ctx.tau(i),
+                    &aspect_targets,
+                    opts.backend,
+                )
+                .ok()
+                .and_then(|task| {
+                    regress(
+                        &task,
+                        params.m,
+                        item_plus_cost,
+                        &mut ws,
+                        None,
+                        on_failure,
+                        ctl,
+                    )
+                    .ok()
+                })
+            };
+
+            // A candidate equal to the current selection can never win the
+            // strict `<` accept test (the objective is a pure function of
+            // the selection), so the two cost evaluations are skipped —
+            // the accept decision is unchanged.
+            if let Some(candidate) = candidate {
+                if candidate != *current && item_plus_cost(&candidate) < item_plus_cost(current) {
+                    if let Some(mm) = metrics {
+                        SolverMetrics::incr(&mm.alternation_accepts);
+                    }
+                    tracing::trace!("alternation step accepted a better selection for item {i}");
+                    phis[i] = Some(ctx.space().phi(ctx.item(i), &candidate.indices));
+                    slots[i] = Ok(candidate);
+                }
+            }
+        }
+    }
+    slots
 }
 
-/// [`solve_comparesets_plus_sweeps`] with execution options. Parallelism
-/// applies to the CompaReSetS seed; the Gauss–Seidel sweeps themselves are
-/// inherently sequential (each item reads the others' current selections)
-/// and run identically regardless of the options.
+/// One fresh [`RegressionWarm`] per item of `ctx`.
+pub(crate) fn fresh_warm(ctx: &InstanceContext) -> Vec<RegressionWarm> {
+    (0..ctx.num_items())
+        .map(|_| RegressionWarm::new())
+        .collect()
+}
+
+/// CompaReSetS+ with a configurable number of alternating sweeps.
+/// Algorithm 1 performs a single sweep `i = 1…n` (what
+/// [`crate::solve_with`] runs); additional sweeps keep refining while each
+/// per-item step can only decrease the objective.
 pub fn solve_comparesets_plus_sweeps_with(
     ctx: &InstanceContext,
     params: &SelectParams,
     sweeps: usize,
     opts: &SolveOptions,
 ) -> Vec<Selection> {
-    let mut warm: Vec<RegressionWarm> = (0..ctx.num_items())
-        .map(|_| RegressionWarm::new())
-        .collect();
-    solve_comparesets_plus_sweeps_warm_with(ctx, params, sweeps, opts, &mut warm)
+    solve_comparesets_plus_sweeps_warm_with(ctx, params, sweeps, opts, &mut fresh_warm(ctx))
 }
 
 /// [`solve_comparesets_plus_sweeps_with`] with caller-held warm states —
@@ -231,267 +334,43 @@ pub fn solve_comparesets_plus_sweeps_warm_with(
         ctx.num_items(),
         "one RegressionWarm per item required"
     );
-    let (lambda, mu) = (params.lambda, params.mu);
-    // Algorithm 1 input: solutions of CompaReSetS.
-    let mut selections = solve_comparesets_with(ctx, params, opts);
-    let n = ctx.num_items();
-    if n <= 1 || mu == 0.0 {
-        // Coupling vanishes; CompaReSetS is already optimal for Eq. 5.
-        return selections;
-    }
-
-    // One pursuit workspace serves every per-item step of every sweep, and
-    // each item keeps a warm-start cache across sweeps: once the other
-    // items' selections stop changing, an item's extended target Υ repeats
-    // verbatim and the re-solve is served from cache (ARCHITECTURE.md §9).
-    let metrics = opts.metrics_ref();
-    let ctl = opts.ctl();
-    let span = tracing::debug_span!("comparesets_plus_alternation", items = n, sweeps = sweeps);
-    let _span_guard = span.enter();
-    let mut ws = NompWorkspace::new();
-    // The items are immutable for the whole solve, so each one's column
-    // grouping is computed once and shared by every warm reuse probe.
-    let dedups: Vec<DedupColumns> = if opts.warm_start {
-        (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect()
-    } else {
-        Vec::new()
-    };
-    // φ(Sⱼ) under each item's current selection, refreshed only when an
-    // accept changes the selection — φ is a pure function of the
-    // selection, so the cache is bit-identical to recomputing per round.
-    let mut phis: Vec<Vec<f64>> = (0..n)
-        .map(|j| ctx.space().phi(ctx.item(j), &selections[j].indices))
-        .collect();
-    'sweeps: for _ in 0..sweeps {
-        for i in 0..n {
-            // Cancellation granularity: one poll per alternation round.
-            // Stopping here keeps the current selections — each completed
-            // round only ever improved them (accept-only-if-better), so
-            // the early exit is the anytime iterate.
-            if ctl.is_cancelled() {
-                break 'sweeps;
-            }
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.alternation_rounds);
-            }
-            // φ(Sⱼ) of every other item, under its *current* selection.
-            let other_phis: Vec<&[f64]> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| phis[j].as_slice())
-                .collect();
-
-            // Per-item synchronized objective used for accept/reject
-            // (Algorithm 1 line 10): Eq. 3 plus μ² Σⱼ Δ(φ(Sᵢ), φ(Sⱼ)).
-            let item_plus_cost = |sel: &Selection| {
-                let base = crate::objective::item_objective(ctx, i, sel, lambda);
-                let phi = ctx.space().phi(ctx.item(i), &sel.indices);
-                let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
-                base + mu * mu * coupling
-            };
-
-            // Υ blocks: Γ with weight λ, then each φ(Sⱼ) with weight μ.
-            let mut aspect_targets: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
-            aspect_targets.push((ctx.gamma(), lambda));
-            for p in &other_phis {
-                aspect_targets.push((p, mu));
-            }
-            // Warm fast path: probe the cache against the stacked target
-            // before paying for the design-matrix build — on stabilised
-            // rounds the whole re-solve reduces to this comparison.
-            let reused = if opts.warm_start {
-                RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
-                    .ok()
-                    .and_then(|t| warm[i].probe_reuse(&dedups[i], &t, params.m, metrics))
-            } else {
-                None
-            };
-            let candidate = if let Some(sel) = reused {
-                sel
-            } else if opts.warm_start {
-                // Session path: the design matrix is parked inside
-                // warm[i] between rounds, so stabilised sweeps skip the
-                // O(q·rows) assembly and only re-stack the target.
-                integer_regression_session_ctl(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                    params.m,
-                    item_plus_cost,
-                    &mut ws,
-                    &mut warm[i],
-                    ctl,
-                )
-            } else {
-                let task = RegressionTask::build_with(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                );
-                integer_regression_ctl(&task, params.m, item_plus_cost, &mut ws, ctl)
-            };
-
-            // A candidate equal to the current selection can never win the
-            // strict `<` accept test (the objective is a pure function of
-            // the selection), so the two cost evaluations are skipped —
-            // the accept decision is unchanged.
-            if candidate != selections[i]
-                && item_plus_cost(&candidate) < item_plus_cost(&selections[i])
-            {
-                if let Some(mm) = metrics {
-                    SolverMetrics::incr(&mm.alternation_accepts);
-                }
-                tracing::trace!("alternation step accepted a better selection for item {i}");
-                selections[i] = candidate;
-                phis[i] = ctx.space().phi(ctx.item(i), &selections[i].indices);
-            }
-        }
-    }
-    selections
+    fallback_selections(solve_comparesets_plus(
+        ctx,
+        params,
+        sweeps,
+        opts,
+        warm,
+        OnFailure::Fallback,
+    ))
 }
 
-/// Checked variant of [`solve_comparesets_plus_sweeps_with`].
-///
-/// The CompaReSetS seed runs through [`solve_comparesets_checked`], so a
-/// degenerate item lands as `Err` in its slot and is **excluded from the
-/// coupling**: healthy items synchronise among themselves as if the failed
-/// item were absent, and the failed slots keep their per-item error. A
-/// sweep-step failure on an otherwise-seeded item degrades gracefully —
-/// the item keeps its current (valid) selection rather than erroring,
-/// matching the accept-only-if-better contract of Algorithm 1.
-///
-/// On well-posed inputs every slot is `Ok` and bit-identical to the
-/// unchecked solver: same seed, same sweeps, same accept decisions.
+/// Checked variant of [`solve_comparesets_plus_sweeps_with`], with the
+/// slot contract of [`crate::solve_checked`]: a degenerate item lands as
+/// `Err` in its slot and is excluded from the coupling, while the healthy
+/// items synchronise among themselves. On well-posed inputs every slot is
+/// `Ok` and bit-identical to the unchecked solver: same seed, same sweeps,
+/// same accept decisions.
 ///
 /// # Errors
 /// [`CoreError::InvalidParams`] on bad parameters (outer); per-item
 /// [`CoreError::Solver`] in the slots (inner);
 /// [`CoreError::DeadlineExceeded`] with the feasible best-so-far
 /// selections when the options' cancellation token fired mid-solve.
-pub fn solve_comparesets_plus_checked(
+pub fn solve_comparesets_plus_sweeps_checked(
     ctx: &InstanceContext,
     params: &SelectParams,
     sweeps: usize,
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
-    let (lambda, mu) = (params.lambda, params.mu);
-    let mut slots = solve_comparesets_checked(ctx, params, opts)?;
-    let n = ctx.num_items();
-    if n <= 1 || mu == 0.0 {
-        return classify_deadline(slots, opts);
-    }
-
-    let metrics = opts.metrics_ref();
-    let ctl = opts.ctl();
-    let mut ws = NompWorkspace::new();
-    let mut warm: Vec<RegressionWarm> = (0..n).map(|_| RegressionWarm::new()).collect();
-    let dedups: Vec<DedupColumns> = if opts.warm_start {
-        (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect()
-    } else {
-        Vec::new()
-    };
-    // φ(Sⱼ) per healthy slot (None for failed items), refreshed only when
-    // an accept changes the selection — bit-identical to recomputing.
-    let mut phis: Vec<Option<Vec<f64>>> = (0..n)
-        .map(|j| {
-            slots[j]
-                .as_ref()
-                .ok()
-                .map(|sel| ctx.space().phi(ctx.item(j), &sel.indices))
-        })
-        .collect();
-    'sweeps: for _ in 0..sweeps {
-        for i in 0..n {
-            if ctl.is_cancelled() {
-                break 'sweeps;
-            }
-            if slots[i].is_err() {
-                continue;
-            }
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.alternation_rounds);
-            }
-            // φ(Sⱼ) of every other *healthy* item under its current
-            // selection; failed items contribute no coupling.
-            let other_phis: Vec<&[f64]> = (0..n)
-                .filter(|&j| j != i)
-                .filter_map(|j| phis[j].as_deref())
-                .collect();
-
-            let item_plus_cost = |sel: &Selection| {
-                let base = crate::objective::item_objective(ctx, i, sel, lambda);
-                let phi = ctx.space().phi(ctx.item(i), &sel.indices);
-                let coupling: f64 = other_phis.iter().map(|p| sq_distance(&phi, p)).sum();
-                base + mu * mu * coupling
-            };
-
-            let current = match &slots[i] {
-                Ok(sel) => sel.clone(),
-                Err(_) => continue,
-            };
-
-            let mut aspect_targets: Vec<(&[f64], f64)> = Vec::with_capacity(1 + other_phis.len());
-            aspect_targets.push((ctx.gamma(), lambda));
-            for p in &other_phis {
-                aspect_targets.push((p, mu));
-            }
-            let reused = if opts.warm_start {
-                RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
-                    .ok()
-                    .and_then(|t| warm[i].probe_reuse(&dedups[i], &t, params.m, metrics))
-            } else {
-                None
-            };
-            // A failed build or solve keeps the current valid selection
-            // (accept-only-if-better degrades gracefully), so both error
-            // channels collapse to `None` here.
-            let solved = if let Some(sel) = reused {
-                Some(sel)
-            } else if opts.warm_start {
-                try_integer_regression_session_ctl(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                    params.m,
-                    item_plus_cost,
-                    &mut ws,
-                    &mut warm[i],
-                    ctl,
-                )
-                .ok()
-            } else {
-                match RegressionTask::try_build_with(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                ) {
-                    Ok(task) => {
-                        try_integer_regression_ctl(&task, params.m, item_plus_cost, &mut ws, ctl)
-                            .ok()
-                    }
-                    Err(_) => None,
-                }
-            };
-            if let Some(candidate) = solved {
-                // Equal candidates can never win the strict `<` accept
-                // test; skip both cost evaluations (decision unchanged).
-                if candidate != current && item_plus_cost(&candidate) < item_plus_cost(&current) {
-                    if let Some(mm) = metrics {
-                        SolverMetrics::incr(&mm.alternation_accepts);
-                    }
-                    phis[i] = Some(ctx.space().phi(ctx.item(i), &candidate.indices));
-                    slots[i] = Ok(candidate);
-                }
-            }
-        }
-    }
+    validate_params(params)?;
+    let slots = solve_comparesets_plus(
+        ctx,
+        params,
+        sweeps,
+        opts,
+        &mut fresh_warm(ctx),
+        OnFailure::Report,
+    );
     classify_deadline(slots, opts)
 }
 
@@ -501,10 +380,29 @@ mod tests {
     use crate::instance::{InstanceContext, Item};
     use crate::objective::{comparesets_objective, comparesets_plus_objective};
     use crate::space::OpinionScheme;
+    use crate::Algorithm;
     use comparesets_data::{CategoryPreset, Polarity, ProductId, ReviewId};
 
     fn params(m: usize, lambda: f64, mu: f64) -> SelectParams {
         SelectParams { m, lambda, mu }
+    }
+
+    fn comparesets(ctx: &InstanceContext, p: &SelectParams) -> Vec<Selection> {
+        crate::solve_with(ctx, Algorithm::CompareSets, p, 0, &SolveOptions::default())
+    }
+
+    fn plus(ctx: &InstanceContext, p: &SelectParams) -> Vec<Selection> {
+        crate::solve_with(
+            ctx,
+            Algorithm::CompareSetsPlus,
+            p,
+            0,
+            &SolveOptions::default(),
+        )
+    }
+
+    fn plus_sweeps(ctx: &InstanceContext, p: &SelectParams, sweeps: usize) -> Vec<Selection> {
+        solve_comparesets_plus_sweeps_with(ctx, p, sweeps, &SolveOptions::default())
     }
 
     /// The three-item example of Figure 2: p₁ as in Working Example 1;
@@ -546,7 +444,7 @@ mod tests {
     #[test]
     fn comparesets_selects_one_set_per_item_within_budget() {
         let ctx = figure2_ctx();
-        let sels = solve_comparesets(&ctx, &params(3, 1.0, 0.0));
+        let sels = comparesets(&ctx, &params(3, 1.0, 0.0));
         assert_eq!(sels.len(), 3);
         for s in &sels {
             assert!(!s.is_empty());
@@ -557,7 +455,7 @@ mod tests {
     #[test]
     fn comparesets_achieves_zero_cost_on_target_item() {
         let ctx = figure2_ctx();
-        let sels = solve_comparesets(&ctx, &params(3, 1.0, 0.0));
+        let sels = comparesets(&ctx, &params(3, 1.0, 0.0));
         let cost0 = crate::objective::item_objective(&ctx, 0, &sels[0], 1.0);
         assert!(cost0 < 1e-12, "target item cost {cost0}");
     }
@@ -566,8 +464,8 @@ mod tests {
     fn plus_improves_or_matches_the_synchronized_objective() {
         let ctx = figure2_ctx();
         let p = params(3, 1.0, 1.0);
-        let base = solve_comparesets(&ctx, &p);
-        let plus = solve_comparesets_plus(&ctx, &p);
+        let base = comparesets(&ctx, &p);
+        let plus = plus(&ctx, &p);
         let obj_base = comparesets_plus_objective(&ctx, &base, p.lambda, p.mu);
         let obj_plus = comparesets_plus_objective(&ctx, &plus, p.lambda, p.mu);
         assert!(
@@ -580,10 +478,7 @@ mod tests {
     fn plus_with_mu_zero_equals_comparesets() {
         let ctx = figure2_ctx();
         let p = params(3, 1.0, 0.0);
-        assert_eq!(
-            solve_comparesets_plus(&ctx, &p),
-            solve_comparesets(&ctx, &p)
-        );
+        assert_eq!(plus(&ctx, &p), comparesets(&ctx, &p));
     }
 
     #[test]
@@ -593,8 +488,8 @@ mod tests {
         // coupling term strictly decreases vs. the unsynchronized solution.
         let ctx = figure2_ctx();
         let p = params(3, 1.0, 2.0);
-        let base = solve_comparesets(&ctx, &p);
-        let plus = solve_comparesets_plus_sweeps(&ctx, &p, 2);
+        let base = comparesets(&ctx, &p);
+        let plus = plus_sweeps(&ctx, &p, 2);
         let coupling = |sels: &[Selection]| {
             comparesets_plus_objective(&ctx, sels, p.lambda, p.mu)
                 - comparesets_objective(&ctx, sels, p.lambda)
@@ -611,8 +506,8 @@ mod tests {
     fn extra_sweeps_never_hurt() {
         let ctx = figure2_ctx();
         let p = params(3, 1.0, 0.5);
-        let one = solve_comparesets_plus_sweeps(&ctx, &p, 1);
-        let three = solve_comparesets_plus_sweeps(&ctx, &p, 3);
+        let one = plus_sweeps(&ctx, &p, 1);
+        let three = plus_sweeps(&ctx, &p, 3);
         let o1 = comparesets_plus_objective(&ctx, &one, p.lambda, p.mu);
         let o3 = comparesets_plus_objective(&ctx, &three, p.lambda, p.mu);
         assert!(o3 <= o1 + 1e-9);
@@ -624,7 +519,7 @@ mod tests {
         let inst = d.instances().into_iter().nth(1).unwrap().truncated(4);
         let ctx = InstanceContext::build(&d, &inst, OpinionScheme::Binary);
         let p = params(5, 1.0, 0.1);
-        let sels = solve_comparesets_plus(&ctx, &p);
+        let sels = plus(&ctx, &p);
         assert_eq!(sels.len(), ctx.num_items());
         for (i, s) in sels.iter().enumerate() {
             assert!(!s.is_empty());
@@ -638,10 +533,7 @@ mod tests {
         let p1 = crate::space::fixtures::working_example_item();
         let ctx = InstanceContext::from_items(5, vec![p1], OpinionScheme::Binary);
         let p = params(3, 1.0, 0.7);
-        assert_eq!(
-            solve_comparesets_plus(&ctx, &p),
-            solve_comparesets(&ctx, &p)
-        );
+        assert_eq!(plus(&ctx, &p), comparesets(&ctx, &p));
     }
 
     #[test]
@@ -649,20 +541,22 @@ mod tests {
         let ctx = figure2_ctx();
         let p = params(3, 1.0, 0.5);
         let opts = SolveOptions::default();
-        let legacy = solve_comparesets(&ctx, &p);
-        let checked: Vec<Selection> = solve_comparesets_checked(&ctx, &p, &opts)
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
+        let legacy = comparesets(&ctx, &p);
+        let checked: Vec<Selection> =
+            crate::solve_checked(&ctx, Algorithm::CompareSets, &p, 0, &opts)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect();
         assert_eq!(legacy, checked);
 
-        let legacy_plus = solve_comparesets_plus_sweeps(&ctx, &p, 2);
-        let checked_plus: Vec<Selection> = solve_comparesets_plus_checked(&ctx, &p, 2, &opts)
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
+        let legacy_plus = plus_sweeps(&ctx, &p, 2);
+        let checked_plus: Vec<Selection> =
+            solve_comparesets_plus_sweeps_checked(&ctx, &p, 2, &opts)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect();
         assert_eq!(legacy_plus, checked_plus);
     }
 
@@ -676,10 +570,10 @@ mod tests {
             params(3, 1.0, f64::INFINITY),
         ] {
             assert!(matches!(
-                solve_comparesets_checked(&ctx, &bad, &opts),
+                crate::solve_checked(&ctx, Algorithm::CompareSets, &bad, 0, &opts),
                 Err(CoreError::InvalidParams(_))
             ));
-            assert!(solve_comparesets_plus_checked(&ctx, &bad, 1, &opts).is_err());
+            assert!(solve_comparesets_plus_sweeps_checked(&ctx, &bad, 1, &opts).is_err());
         }
     }
 }

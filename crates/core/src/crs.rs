@@ -5,109 +5,51 @@
 //! opinion distribution `π(Sᵢ)` is as close as possible to the item's
 //! overall distribution `τᵢ = π(ℛᵢ)` — the special case of CompaReSetS
 //! with a single item and λ = 0. It shares the Integer-Regression
-//! machinery but regresses on the opinion block only.
+//! machinery and the per-item driver of CompaReSetS but regresses on the
+//! opinion block only. Run it through [`crate::solve_with`] or
+//! [`crate::solve_checked`] with [`crate::Algorithm::Crs`].
 
-use crate::comparesets::classify_deadline;
-use crate::error::CoreError;
-use crate::instance::{InstanceContext, Selection};
-use crate::integer_regression::{
-    integer_regression_ctl, try_integer_regression_ctl, RegressionTask,
-};
+use crate::comparesets::{solve_items, Slots};
+use crate::instance::InstanceContext;
+use crate::integer_regression::OnFailure;
 use crate::SolveOptions;
 use comparesets_linalg::vector::sq_distance;
-use comparesets_linalg::{with_pooled_workspace, NompWorkspace};
-use rayon::prelude::*;
 
 /// Run CRS on every item of the instance independently.
-pub fn solve_crs(ctx: &InstanceContext, m: usize) -> Vec<Selection> {
-    solve_crs_with(ctx, m, &SolveOptions::default())
-}
-
-/// [`solve_crs`] with execution options: the per-item regressions are
-/// independent and fan out over rayon when [`SolveOptions::parallel`] is
-/// set, collected in item order (identical results either way).
-pub fn solve_crs_with(ctx: &InstanceContext, m: usize, opts: &SolveOptions) -> Vec<Selection> {
-    let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let task = RegressionTask::build_with(ctx.space(), item, tau, &[], opts.backend);
-        integer_regression_ctl(
-            &task,
-            m,
-            |sel| sq_distance(tau, &ctx.space().pi(item, &sel.indices)),
-            ws,
-            ctl,
-        )
-    };
-    if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
-        })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    }
-}
-
-/// Checked variant of [`solve_crs_with`]: per-item failure isolation with
-/// the same slot contract as
-/// [`crate::comparesets::solve_comparesets_checked`].
-///
-/// # Errors
-/// [`CoreError::InvalidParams`] when `m == 0` (outer); per-item
-/// [`CoreError::Solver`] in the slots (inner);
-/// [`CoreError::DeadlineExceeded`] with the feasible best-so-far
-/// selections when the options' cancellation token fired mid-solve.
-pub fn solve_crs_checked(
+pub(crate) fn solve_crs(
     ctx: &InstanceContext,
     m: usize,
     opts: &SolveOptions,
-) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
-    if m == 0 {
-        return Err(CoreError::InvalidParams("m must be at least 1"));
-    }
-    let ctl = opts.ctl();
-    let solve_item = |i: usize, ws: &mut NompWorkspace| -> Result<Selection, CoreError> {
-        let item = ctx.item(i);
-        let tau = ctx.tau(i);
-        let task = RegressionTask::try_build_with(ctx.space(), item, tau, &[], opts.backend)?;
-        try_integer_regression_ctl(
-            &task,
-            m,
-            |sel| sq_distance(tau, &ctx.space().pi(item, &sel.indices)),
-            ws,
-            ctl,
-        )
-        .map_err(|source| CoreError::Solver { item: i, source })
-    };
-    let slots = if opts.parallel {
-        crate::run_on_pool(opts, || {
-            (0..ctx.num_items())
-                .into_par_iter()
-                .map(|i| with_pooled_workspace(|ws| solve_item(i, ws)))
-                .collect()
-        })
-    } else {
-        let mut ws = NompWorkspace::new();
-        (0..ctx.num_items())
-            .map(|i| solve_item(i, &mut ws))
-            .collect()
-    };
-    classify_deadline(slots, opts)
+    on_failure: OnFailure,
+) -> Slots {
+    solve_items(
+        ctx,
+        m,
+        &[],
+        |i, sel| sq_distance(ctx.tau(i), &ctx.space().pi(ctx.item(i), &sel.indices)),
+        opts,
+        on_failure,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::instance::{InstanceContext, Item};
+    use crate::instance::{InstanceContext, Item, Selection};
     use crate::space::OpinionScheme;
+    use crate::{solve_checked, solve_with, Algorithm, CoreError, SelectParams, SolveOptions};
     use comparesets_data::{CategoryPreset, Polarity, ProductId, ReviewId};
+    use comparesets_linalg::vector::sq_distance;
+
+    fn budget(m: usize) -> SelectParams {
+        SelectParams {
+            m,
+            ..SelectParams::default()
+        }
+    }
+
+    fn solve_crs(ctx: &InstanceContext, m: usize) -> Vec<Selection> {
+        solve_with(ctx, Algorithm::Crs, &budget(m), 0, &SolveOptions::default())
+    }
 
     #[test]
     fn crs_matches_opinion_distribution_on_working_example() {
@@ -165,14 +107,14 @@ mod tests {
         let ctx = InstanceContext::from_items(5, vec![item], OpinionScheme::Binary);
         let opts = SolveOptions::default();
         let legacy = solve_crs(&ctx, 3);
-        let checked: Vec<_> = solve_crs_checked(&ctx, 3, &opts)
+        let checked: Vec<_> = solve_checked(&ctx, Algorithm::Crs, &budget(3), 0, &opts)
             .unwrap()
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(legacy, checked);
         assert!(matches!(
-            solve_crs_checked(&ctx, 0, &opts),
+            solve_checked(&ctx, Algorithm::Crs, &budget(0), 0, &opts),
             Err(CoreError::InvalidParams(_))
         ));
     }

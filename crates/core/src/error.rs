@@ -1,8 +1,8 @@
 //! Typed errors for the core solve path.
 //!
-//! The checked solver entry points (`solve_checked`, `solve_crs_checked`,
-//! `solve_comparesets_checked`, `solve_comparesets_plus_checked`) report
-//! failures through [`CoreError`] instead of panicking. Batch solvers
+//! The checked solver entry points (`solve_checked`,
+//! `solve_comparesets_plus_sweeps_checked`) report failures through
+//! [`CoreError`] instead of panicking. Batch solvers
 //! isolate failures per item: a degenerate item yields an `Err` in its
 //! slot of the result vector while every other item still solves — one
 //! bad item never poisons the batch. See ARCHITECTURE.md ("Error handling

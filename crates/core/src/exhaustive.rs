@@ -101,9 +101,9 @@ pub fn solve_exhaustive_item(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparesets::solve_comparesets;
     use crate::instance::InstanceContext;
     use crate::space::OpinionScheme;
+    use crate::{solve_with, Algorithm, SolveOptions};
     use comparesets_data::CategoryPreset;
 
     fn params(m: usize) -> SelectParams {
@@ -145,7 +145,13 @@ mod tests {
             let Some(oracle) = solve_exhaustive(&ctx, &p) else {
                 continue;
             };
-            let approx = solve_comparesets(&ctx, &p);
+            let approx = solve_with(
+                &ctx,
+                Algorithm::CompareSets,
+                &p,
+                0,
+                &SolveOptions::default(),
+            );
             for i in 0..ctx.num_items() {
                 let oc = item_objective(&ctx, i, &oracle[i], p.lambda);
                 let ac = item_objective(&ctx, i, &approx[i], p.lambda);

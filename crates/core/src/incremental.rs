@@ -17,14 +17,12 @@
 //! drift so callers can trigger [`IncrementalSession::refresh`] on a
 //! budget.
 
-use crate::comparesets::solve_comparesets_plus_with;
 use crate::instance::{InstanceContext, ReviewFeature, Selection};
 use crate::integer_regression::{
-    integer_regression_ctl, integer_regression_session_ctl, DedupColumns, RegressionTask,
-    RegressionWarm,
+    regress, session_regress, DedupColumns, OnFailure, RegressionTask, RegressionWarm,
 };
 use crate::objective::comparesets_plus_objective;
-use crate::{SelectParams, SolveOptions};
+use crate::{solve_with, Algorithm, SelectParams, SolveOptions};
 use comparesets_data::ReviewId;
 use comparesets_linalg::vector::sq_distance;
 use comparesets_linalg::NompWorkspace;
@@ -87,7 +85,7 @@ impl IncrementalSession {
     /// [`IncrementalSession::new`] with execution options; the options
     /// apply to the initial solve and every [`IncrementalSession::refresh`].
     pub fn with_options(ctx: InstanceContext, params: SelectParams, opts: SolveOptions) -> Self {
-        let selections = solve_comparesets_plus_with(&ctx, &params, &opts);
+        let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
         let warm = (0..ctx.num_items())
             .map(|_| RegressionWarm::new())
             .collect();
@@ -278,8 +276,11 @@ impl IncrementalSession {
         } else {
             None
         };
-        let candidate = if let Some(sel) = reused {
-            sel
+        // The fallback policy never fails the regression, so `None` only
+        // means target blocks that do not fit the space — impossible for
+        // a context's own τ/Γ/φ — and keeps the old selection.
+        let candidate = if reused.is_some() {
+            reused
         } else if self.opts.warm_start {
             // Session path: the parked design matrix survives ingest — an
             // appended review whose feature forms a new dedup group grows
@@ -287,7 +288,7 @@ impl IncrementalSession {
             // existing group reuses the matrix untouched (only the caps
             // changed). Edits and deletes fail the structural key and
             // rebuild.
-            integer_regression_session_ctl(
+            session_regress(
                 ctx.space(),
                 ctx.item(i),
                 ctx.tau(i),
@@ -297,23 +298,35 @@ impl IncrementalSession {
                 cost,
                 &mut self.workspace,
                 &mut self.warm[i],
+                OnFailure::Fallback,
                 self.opts.ctl(),
             )
+            .ok()
         } else {
-            let task = RegressionTask::build_with(
+            RegressionTask::build(
                 ctx.space(),
                 ctx.item(i),
                 ctx.tau(i),
                 &aspect_targets,
                 self.opts.backend,
-            );
-            integer_regression_ctl(
-                &task,
-                self.params.m,
-                cost,
-                &mut self.workspace,
-                self.opts.ctl(),
             )
+            .ok()
+            .and_then(|task| {
+                let ctl = self.opts.ctl();
+                regress(
+                    &task,
+                    self.params.m,
+                    cost,
+                    &mut self.workspace,
+                    None,
+                    OnFailure::Fallback,
+                    ctl,
+                )
+                .ok()
+            })
+        };
+        let Some(candidate) = candidate else {
+            return;
         };
         if cost(&candidate) < cost(&self.selections[i]) {
             self.selections[i] = candidate;
@@ -324,7 +337,13 @@ impl IncrementalSession {
     /// result only when it improves the Equation-5 objective, and resets
     /// the drift counter either way.
     pub fn refresh(&mut self) {
-        let fresh = solve_comparesets_plus_with(&self.ctx, &self.params, &self.opts);
+        let fresh = solve_with(
+            &self.ctx,
+            Algorithm::CompareSetsPlus,
+            &self.params,
+            0,
+            &self.opts,
+        );
         let current = self.objective();
         let candidate =
             comparesets_plus_objective(&self.ctx, &fresh, self.params.lambda, self.params.mu);
@@ -406,7 +425,6 @@ impl InstanceContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparesets::solve_comparesets_plus;
     use crate::space::OpinionScheme;
     use comparesets_data::{CategoryPreset, Polarity};
 
@@ -472,7 +490,13 @@ mod tests {
         }
         let incremental_obj = s.objective();
         // From-scratch resolve on the grown context.
-        let scratch = solve_comparesets_plus(s.context(), &SelectParams::default());
+        let scratch = solve_with(
+            s.context(),
+            Algorithm::CompareSetsPlus,
+            &SelectParams::default(),
+            0,
+            &SolveOptions::default(),
+        );
         let scratch_obj = comparesets_plus_objective(s.context(), &scratch, 1.0, 0.1);
         // The incremental solution may lag the scratch one, but not by
         // much — and never the other way by construction of refresh().

@@ -25,11 +25,11 @@
 //!    CompaReSetS+ can share this machinery with their own objectives.
 //!
 //! ```
-//! use comparesets_core::{integer_regression, RegressionTask};
+//! use comparesets_core::{integer_regression, MatrixBackend, RegressionTask, SolveCtl};
 //! use comparesets_core::instance::Item;
 //! use comparesets_core::space::{OpinionScheme, VectorSpace};
 //! use comparesets_data::{Polarity, ProductId, ReviewId};
-//! use comparesets_linalg::vector::sq_distance;
+//! use comparesets_linalg::{vector::sq_distance, NompWorkspace};
 //!
 //! // Three reviews over two aspects; τ/Γ are the full-set profiles.
 //! let item = Item::from_mentions(
@@ -44,16 +44,19 @@
 //! let all: Vec<usize> = (0..3).collect();
 //! let (tau, gamma) = (space.pi(&item, &all), space.phi(&item, &all));
 //!
-//! let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-//! let sel = integer_regression(&task, 2, |s| {
+//! let blocks: &[(&[f64], f64)] = &[(&gamma, 1.0)];
+//! let task = RegressionTask::build(&space, &item, &tau, blocks, MatrixBackend::Auto).unwrap();
+//! let evaluate = |s: &comparesets_core::Selection| {
 //!     sq_distance(&tau, &space.pi(&item, &s.indices))
 //!         + sq_distance(&gamma, &space.phi(&item, &s.indices))
-//! });
+//! };
+//! let mut ws = NompWorkspace::new();
+//! let sel = integer_regression(&task, 2, evaluate, &mut ws, None, SolveCtl::default()).unwrap();
 //! assert!(!sel.is_empty() && sel.len() <= 2);
 //! ```
 
 use comparesets_linalg::{
-    nomp_path_ctl, nomp_path_warm, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions,
+    nomp_path, nomp_path_warm, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions,
     NompWorkspace, SolveError, WarmState,
 };
 use comparesets_obs::{SolveCtl, SolverMetrics};
@@ -279,69 +282,12 @@ pub struct RegressionTask {
 impl RegressionTask {
     /// Build the task for one item.
     ///
-    /// `target_blocks` are `(vector, weight)` pairs: the first must be the
-    /// opinion target τᵢ with weight 1; every following block is an
-    /// aspect-space target (Γ or some φ(Sⱼ)) with its coefficient (λ or
-    /// μ). The matrix mirrors the blocks: the opinion-column block then
-    /// one `weight × aspect-indicator` block per aspect target.
-    ///
-    /// # Panics
-    /// Panics when blocks have wrong dimensions. Use
-    /// [`RegressionTask::try_build`] for a fallible variant.
-    pub fn build(
-        space: &VectorSpace,
-        item: &Item,
-        opinion_target: &[f64],
-        aspect_targets: &[(&[f64], f64)],
-    ) -> Self {
-        Self::build_with(
-            space,
-            item,
-            opinion_target,
-            aspect_targets,
-            MatrixBackend::Auto,
-        )
-    }
-
-    /// [`RegressionTask::build`] with an explicit [`MatrixBackend`].
-    ///
-    /// # Panics
-    /// As [`RegressionTask::build`].
-    pub fn build_with(
-        space: &VectorSpace,
-        item: &Item,
-        opinion_target: &[f64],
-        aspect_targets: &[(&[f64], f64)],
-        backend: MatrixBackend,
-    ) -> Self {
-        match Self::try_build_with(space, item, opinion_target, aspect_targets, backend) {
-            Ok(task) => task,
-            Err(e) => panic!("RegressionTask::build: {e}"),
-        }
-    }
-
-    /// Fallible variant of [`RegressionTask::build`].
-    ///
-    /// # Errors
-    /// [`CoreError::DimensionMismatch`] when the opinion target does not
-    /// have the space's opinion dimension or an aspect target does not
-    /// have the aspect dimension.
-    pub fn try_build(
-        space: &VectorSpace,
-        item: &Item,
-        opinion_target: &[f64],
-        aspect_targets: &[(&[f64], f64)],
-    ) -> Result<Self, CoreError> {
-        Self::try_build_with(
-            space,
-            item,
-            opinion_target,
-            aspect_targets,
-            MatrixBackend::Auto,
-        )
-    }
-
-    /// [`RegressionTask::try_build`] with an explicit [`MatrixBackend`].
+    /// `aspect_targets` are `(vector, weight)` pairs after the opinion
+    /// target τᵢ (weight 1): each is an aspect-space target (Γ or some
+    /// φ(Sⱼ)) with its coefficient (λ or μ). The matrix mirrors the
+    /// blocks: the opinion-column block then one `weight ×
+    /// aspect-indicator` block per aspect target, stored as `backend`
+    /// decides.
     ///
     /// The columns are always assembled as sparse `(row, value)` entry
     /// lists first — a dense matrix is only ever materialised after the
@@ -349,34 +295,18 @@ impl RegressionTask {
     /// storage even transiently.
     ///
     /// # Errors
-    /// As [`RegressionTask::try_build`].
-    pub fn try_build_with(
+    /// [`CoreError::DimensionMismatch`] when the opinion target does not
+    /// have the space's opinion dimension or an aspect target does not
+    /// have the aspect dimension.
+    pub fn build(
         space: &VectorSpace,
         item: &Item,
         opinion_target: &[f64],
         aspect_targets: &[(&[f64], f64)],
         backend: MatrixBackend,
     ) -> Result<Self, CoreError> {
-        let z = space.num_aspects();
-        let od = space.opinion_dim();
-        if opinion_target.len() != od {
-            return Err(CoreError::DimensionMismatch {
-                context: "RegressionTask opinion target",
-                expected: od,
-                actual: opinion_target.len(),
-            });
-        }
-        for (t, _) in aspect_targets {
-            if t.len() != z {
-                return Err(CoreError::DimensionMismatch {
-                    context: "RegressionTask aspect target",
-                    expected: z,
-                    actual: t.len(),
-                });
-            }
-        }
+        let target = Self::try_stack_target(space, opinion_target, aspect_targets)?;
         let dedup = DedupColumns::build(item);
-        let rows = od + z * aspect_targets.len();
         // Build columns sparsely: only the mentioned opinion slots and the
         // mentioned aspects of each review are non-zero.
         let columns: Vec<Vec<(usize, f64)>> = dedup
@@ -384,12 +314,7 @@ impl RegressionTask {
             .iter()
             .map(|group| column_entries(space, &item.features[group[0]], aspect_targets))
             .collect();
-        let matrix = assemble_matrix(rows, &columns, backend)?;
-        let mut target = Vec::with_capacity(rows);
-        target.extend_from_slice(opinion_target);
-        for &(t, w) in aspect_targets {
-            target.extend(t.iter().map(|v| w * v));
-        }
+        let matrix = assemble_matrix(target.len(), &columns, backend)?;
         Ok(RegressionTask {
             matrix,
             target,
@@ -398,15 +323,15 @@ impl RegressionTask {
     }
 
     /// Stack the pre-weighted target vector Υ without building the design
-    /// matrix — the cheap half of [`RegressionTask::try_build`] (the
+    /// matrix — the cheap half of [`RegressionTask::build`] (the
     /// matrix costs `O(q·(od + z·blocks))`, the target only
     /// `O(od + z·blocks)`). Warm re-solve probes use this to test cache
     /// validity before paying for the matrix; the vector is bit-identical
-    /// to the `target` field `try_build` would produce.
+    /// to the `target` field `build` would produce.
     ///
     /// # Errors
     /// [`CoreError::DimensionMismatch`] exactly as
-    /// [`RegressionTask::try_build`] reports it for the target blocks.
+    /// [`RegressionTask::build`] reports it for the target blocks.
     pub fn try_stack_target(
         space: &VectorSpace,
         opinion_target: &[f64],
@@ -577,6 +502,20 @@ fn round_with_caps(x_hat: &[f64], s: usize, caps: &[usize]) -> Option<Vec<usize>
     }
 }
 
+/// What a per-item regression does when its continuous relaxation fails
+/// (non-finite targets, injected faults). The solvers' one failure
+/// policy: [`crate::solve_with`] falls back, [`crate::solve_checked`]
+/// reports. On well-posed inputs the two are indistinguishable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OnFailure {
+    /// Continue into the single-review fallback, so the item still gets
+    /// a non-empty selection.
+    Fallback,
+    /// Return the classified [`SolveError`] so a batch driver can isolate
+    /// the item.
+    Report,
+}
+
 /// Run Integer-Regression for one item (Algorithm 1 lines 6–12).
 ///
 /// `evaluate` must return the true objective of a candidate selection
@@ -586,184 +525,35 @@ fn round_with_caps(x_hat: &[f64], s: usize, caps: &[usize]) -> Option<Vec<usize>
 /// selecting the single review minimising `evaluate`.
 ///
 /// The ℓ-sweep of Algorithm 1 line 7 runs as **one** shared NOMP pursuit
-/// ([`comparesets_linalg::nomp_path_with`]): the pursuit's state evolution is independent of
-/// the budget, so the per-ℓ relaxations are snapshots of a single run
-/// instead of `m` runs — identical solutions, ~`m×` less solver work.
-pub fn integer_regression<F>(task: &RegressionTask, m: usize, evaluate: F) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_with(task, m, evaluate, &mut NompWorkspace::new())
-}
-
-/// [`integer_regression`] with caller-provided solver scratch.
+/// ([`comparesets_linalg::nomp_path`]): the pursuit's state evolution is
+/// independent of the budget, so the per-ℓ relaxations are snapshots of a
+/// single run instead of `m` runs — identical solutions, ~`m×` less
+/// solver work.
 ///
-/// Alternating solvers (CompaReSetS+ sweeps, incremental maintenance)
-/// re-run Integer-Regression many times on same-shaped tasks; passing one
-/// [`NompWorkspace`] through avoids re-allocating the pursuit buffers on
-/// every call.
-pub fn integer_regression_with<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    // Non-strict mode never returns Err (a failed relaxation falls back to
-    // the single-review sweep), so the default branch is unreachable.
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        false,
-        SolveCtl::default(),
-    )
-    .unwrap_or_default()
-}
-
-/// [`integer_regression_with`] with an optional metrics collector: counts
-/// the regression itself and everything its NOMP relaxation does. With
-/// `None` this is exactly the unmetered path.
-pub fn integer_regression_metered<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    metrics: Option<&SolverMetrics>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        false,
-        SolveCtl::metered(metrics),
-    )
-    .unwrap_or_default()
-}
-
-/// [`integer_regression_metered`] with a full [`SolveCtl`] handle: a
-/// cancellation token (if present) is polled inside the NOMP relaxation.
-/// A fired token collapses the relaxation to its entry state, so this
-/// returns the cheap single-review fallback — still feasible, still
-/// non-empty — instead of a refined selection. Without a token this is
-/// exactly [`integer_regression_metered`].
-pub fn integer_regression_ctl<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    ctl: SolveCtl<'_>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(task, m, &mut evaluate, workspace, None, false, ctl).unwrap_or_default()
-}
-
-/// [`integer_regression`] that propagates solver failures instead of
-/// silently degrading to the single-review fallback.
-///
-/// On well-posed inputs this returns exactly what [`integer_regression`]
-/// returns; the two differ only when the continuous relaxation itself
-/// fails (non-finite targets, injected faults), where the strict variant
-/// reports the classified [`SolveError`] so batch drivers can isolate the
-/// offending item.
+/// `workspace` is pursuit scratch reused across calls. With a
+/// [`RegressionWarm`] the relaxation runs through
+/// [`comparesets_linalg::nomp_path_warm`] (validated replay + incremental
+/// correlations), and an unchanged re-solve — bit-equal target, same
+/// budget and caps — returns the cached selection without rounding or
+/// evaluating anything. `ctl` carries the optional metrics collector and
+/// cancellation token: a fired token collapses the relaxation to its
+/// entry state, so the answer is the cheap single-review fallback — still
+/// feasible, still non-empty.
 ///
 /// # Errors
 /// The [`SolveError`] the NOMP relaxation reported.
-pub fn try_integer_regression<F>(
+pub fn integer_regression<F>(
     task: &RegressionTask,
     m: usize,
-    mut evaluate: F,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        &mut NompWorkspace::new(),
-        None,
-        true,
-        SolveCtl::default(),
-    )
-}
-
-/// [`try_integer_regression`] with caller-provided solver scratch.
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_with<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
+    evaluate: F,
     workspace: &mut NompWorkspace,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        true,
-        SolveCtl::default(),
-    )
-}
-
-/// [`try_integer_regression_with`] with an optional metrics collector.
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_metered<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    metrics: Option<&SolverMetrics>,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(
-        task,
-        m,
-        &mut evaluate,
-        workspace,
-        None,
-        true,
-        SolveCtl::metered(metrics),
-    )
-}
-
-/// [`try_integer_regression_metered`] with a full [`SolveCtl`] handle; see
-/// [`integer_regression_ctl`] for the cancellation contract.
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_ctl<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
+    warm: Option<&mut RegressionWarm>,
     ctl: SolveCtl<'_>,
 ) -> Result<Selection, SolveError>
 where
     F: FnMut(&Selection) -> f64,
 {
-    integer_regression_impl(task, m, &mut evaluate, workspace, None, true, ctl)
+    regress(task, m, evaluate, workspace, warm, OnFailure::Report, ctl)
 }
 
 /// The final answer of a previous warm regression, with the inputs it was
@@ -838,7 +628,7 @@ impl MatrixKey {
 /// *same item* (the intended use — both CompaReSetS+ variants and the
 /// incremental session thread exactly that).
 ///
-/// The session entry points ([`integer_regression_session_ctl`]) also park
+/// The session entry point ([`integer_regression_session`]) also parks
 /// the item's [`TaskMatrix`] here between re-solves, validated by an exact
 /// structural key: an unchanged item reuses the matrix outright, an
 /// append-only item grows its CSC columns in place
@@ -887,7 +677,7 @@ impl RegressionWarm {
     /// ([`DedupColumns::build`]); callers solving the same immutable item
     /// repeatedly (the alternating sweeps) build it once and reuse it.
     ///
-    /// This is the same decision [`integer_regression_warm_ctl`] makes
+    /// This is the same decision [`integer_regression`] makes
     /// internally, hoisted in front of the `O(q·rows)` matrix
     /// construction so alternating solvers can skip task assembly on
     /// stabilised rounds. Counters are recorded exactly as the in-engine
@@ -925,45 +715,6 @@ impl RegressionWarm {
         self.state.record_full_reuse(metrics);
         Some(cached.selection.clone())
     }
-}
-
-/// [`integer_regression_ctl`] with a [`RegressionWarm`] cache carried
-/// across re-solves of the same item: the NOMP relaxation runs through
-/// [`nomp_path_warm`] (validated replay + incremental correlations), and
-/// an unchanged re-solve — bit-equal target, same budget and caps —
-/// returns the cached selection without rounding or evaluating anything.
-pub fn integer_regression_warm_ctl<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(task, m, &mut evaluate, workspace, Some(warm), false, ctl)
-        .unwrap_or_default()
-}
-
-/// [`try_integer_regression_ctl`] with a [`RegressionWarm`] cache; see
-/// [`integer_regression_warm_ctl`].
-///
-/// # Errors
-/// As [`try_integer_regression`].
-pub fn try_integer_regression_warm_ctl<F>(
-    task: &RegressionTask,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, SolveError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    integer_regression_impl(task, m, &mut evaluate, workspace, Some(warm), true, ctl)
 }
 
 /// Assemble the regression task for a session re-solve, reusing the
@@ -1026,133 +777,89 @@ fn session_task(
     ))
 }
 
-/// Shared engine behind the session entry points: build-or-reuse the
-/// design matrix via [`session_task`], run the regression, park the
-/// matrix back in `warm` for the next re-solve (also when the solver
-/// itself failed — the matrix is still valid).
-#[allow(clippy::too_many_arguments)] // mirrors the warm_ctl surface plus the raw task blocks
-fn session_impl<F>(
+/// [`integer_regression`] with a [`RegressionWarm`] that also owns the
+/// design-matrix lifecycle: instead of taking a pre-built
+/// [`RegressionTask`], this builds the task from the raw blocks and
+/// **parks the matrix inside `warm`** between calls. A re-solve of an
+/// unchanged item (the alternating sweeps' steady state, the serving
+/// daemon's repeat sessions) skips the `O(q·rows)` matrix assembly
+/// entirely; an append-only item (incremental ingest) grows its CSC
+/// columns in place; anything else rebuilds under `backend`. Selections
+/// are byte-identical to building fresh and calling
+/// [`integer_regression`]. The matrix is parked back also when the solver
+/// itself failed — it is still valid.
+///
+/// # Errors
+/// [`CoreError::DimensionMismatch`] on malformed target blocks;
+/// [`CoreError::Solver`] (with `item` 0 — the caller knows which item it
+/// is solving) when the relaxation fails.
+#[allow(clippy::too_many_arguments)] // the raw task blocks plus the integer_regression surface
+pub fn integer_regression_session<F>(
     space: &VectorSpace,
     item: &Item,
     opinion_target: &[f64],
     aspect_targets: &[(&[f64], f64)],
     backend: MatrixBackend,
     m: usize,
-    evaluate: &mut F,
+    evaluate: F,
     workspace: &mut NompWorkspace,
     warm: &mut RegressionWarm,
-    strict: bool,
+    ctl: SolveCtl<'_>,
+) -> Result<Selection, CoreError>
+where
+    F: FnMut(&Selection) -> f64,
+{
+    session_regress(
+        space,
+        item,
+        opinion_target,
+        aspect_targets,
+        backend,
+        m,
+        evaluate,
+        workspace,
+        warm,
+        OnFailure::Report,
+        ctl,
+    )
+}
+
+/// [`integer_regression_session`] under either [`OnFailure`] policy.
+#[allow(clippy::too_many_arguments)] // the raw task blocks plus the integer_regression surface
+pub(crate) fn session_regress<F>(
+    space: &VectorSpace,
+    item: &Item,
+    opinion_target: &[f64],
+    aspect_targets: &[(&[f64], f64)],
+    backend: MatrixBackend,
+    m: usize,
+    evaluate: F,
+    workspace: &mut NompWorkspace,
+    warm: &mut RegressionWarm,
+    on_failure: OnFailure,
     ctl: SolveCtl<'_>,
 ) -> Result<Selection, CoreError>
 where
     F: FnMut(&Selection) -> f64,
 {
     let (key, task) = session_task(space, item, opinion_target, aspect_targets, backend, warm)?;
-    let result = integer_regression_impl(&task, m, evaluate, workspace, Some(warm), strict, ctl)
+    let result = regress(&task, m, evaluate, workspace, Some(warm), on_failure, ctl)
         .map_err(|source| CoreError::Solver { item: 0, source });
     warm.matrix = Some((key, task.matrix));
     result
 }
 
-/// [`integer_regression_warm_ctl`] that also owns the design-matrix
-/// lifecycle: instead of taking a pre-built [`RegressionTask`], this
-/// builds the task from the raw blocks and **parks the matrix inside
-/// `warm`** between calls. A re-solve of an unchanged item (the
-/// alternating sweeps' steady state, the serving daemon's repeat
-/// sessions) skips the `O(q·rows)` matrix assembly entirely; an
-/// append-only item (incremental ingest) grows its CSC columns in place;
-/// anything else rebuilds under `backend`. Selections are byte-identical
-/// to building fresh and calling [`integer_regression_warm_ctl`].
-///
-/// # Panics
-/// Panics on malformed target blocks, exactly as
-/// [`RegressionTask::build`] does.
-#[allow(clippy::too_many_arguments)] // mirrors the warm_ctl surface plus the raw task blocks
-pub fn integer_regression_session_ctl<F>(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Selection
-where
-    F: FnMut(&Selection) -> f64,
-{
-    match session_impl(
-        space,
-        item,
-        opinion_target,
-        aspect_targets,
-        backend,
-        m,
-        &mut evaluate,
-        workspace,
-        warm,
-        false,
-        ctl,
-    ) {
-        Ok(sel) => sel,
-        // Non-strict regressions never report solver errors, so the only
-        // reachable failure is a malformed task — the build panic.
-        Err(e) => panic!("integer_regression_session_ctl: {e}"),
-    }
-}
-
-/// Strict variant of [`integer_regression_session_ctl`]: task-build
-/// failures and solver failures are both reported instead of panicking
-/// or degrading.
-///
-/// # Errors
-/// [`CoreError::DimensionMismatch`] on malformed target blocks;
-/// [`CoreError::Solver`] (with `item` 0 — the caller knows which item it
-/// is solving) when the relaxation fails.
-#[allow(clippy::too_many_arguments)] // mirrors the warm_ctl surface plus the raw task blocks
-pub fn try_integer_regression_session_ctl<F>(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    m: usize,
-    mut evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, CoreError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    session_impl(
-        space,
-        item,
-        opinion_target,
-        aspect_targets,
-        backend,
-        m,
-        &mut evaluate,
-        workspace,
-        warm,
-        true,
-        ctl,
-    )
-}
-
-/// Shared engine behind the strict and non-strict entry points. `strict`
-/// decides what a failed relaxation does: propagate the classified error
-/// (checked solvers) or continue into the single-review fallback (legacy
-/// behaviour, kept bit-for-bit for well-posed inputs).
-fn integer_regression_impl<F>(
+/// [`integer_regression`] under either [`OnFailure`] policy. Under
+/// [`OnFailure::Fallback`] this never returns `Err`: a failed relaxation
+/// continues into the single-review fallback (kept bit-for-bit for
+/// well-posed inputs).
+pub(crate) fn regress<F>(
     task: &RegressionTask,
     m: usize,
-    evaluate: &mut F,
+    mut evaluate: F,
     workspace: &mut NompWorkspace,
     mut warm: Option<&mut RegressionWarm>,
-    strict: bool,
+    on_failure: OnFailure,
     ctl: SolveCtl<'_>,
 ) -> Result<Selection, SolveError>
 where
@@ -1208,7 +915,7 @@ where
                 &mut w.state,
                 ctl,
             ),
-            None => nomp_path_ctl(&task.matrix, &task.target, opts, workspace, ctl),
+            None => nomp_path(&task.matrix, &task.target, opts, workspace, ctl),
         };
         match solved {
             Ok(path) => {
@@ -1219,12 +926,12 @@ where
                     for s in 1..=m {
                         if let Some(nu) = round_with_caps(&res.x, s, &caps) {
                             let sel = task.dedup.expand(&nu);
-                            consider(sel, evaluate, &mut best);
+                            consider(sel, &mut evaluate, &mut best);
                         }
                     }
                 }
             }
-            Err(e) if strict => return Err(e),
+            Err(e) if on_failure == OnFailure::Report => return Err(e),
             Err(_) => {}
         }
     }
@@ -1235,7 +942,7 @@ where
             let mut nu = vec![0usize; q];
             nu[g] = 1;
             let sel = task.dedup.expand(&nu);
-            consider(sel, evaluate, &mut best);
+            consider(sel, &mut evaluate, &mut best);
         }
     }
 
@@ -1269,6 +976,46 @@ mod tests {
     use crate::space::{OpinionScheme, VectorSpace};
     use comparesets_data::{Polarity, ProductId, ReviewId};
     use comparesets_linalg::vector::sq_distance;
+
+    fn build(
+        space: &VectorSpace,
+        item: &Item,
+        tau: &[f64],
+        aspect_targets: &[(&[f64], f64)],
+    ) -> RegressionTask {
+        RegressionTask::build(space, item, tau, aspect_targets, MatrixBackend::Auto).unwrap()
+    }
+
+    /// The regression under the fallback policy, on fresh scratch.
+    fn lenient(task: &RegressionTask, m: usize, eval: impl FnMut(&Selection) -> f64) -> Selection {
+        let mut ws = NompWorkspace::new();
+        regress(
+            task,
+            m,
+            eval,
+            &mut ws,
+            None,
+            OnFailure::Fallback,
+            SolveCtl::default(),
+        )
+        .unwrap()
+    }
+
+    /// The public (reporting) regression, on fresh scratch.
+    fn strict(
+        task: &RegressionTask,
+        m: usize,
+        eval: impl FnMut(&Selection) -> f64,
+    ) -> Result<Selection, SolveError> {
+        integer_regression(
+            task,
+            m,
+            eval,
+            &mut NompWorkspace::new(),
+            None,
+            SolveCtl::default(),
+        )
+    }
 
     fn item_with(reviews: Vec<Vec<(usize, Polarity)>>) -> Item {
         Item::from_mentions(
@@ -1329,7 +1076,7 @@ mod tests {
         let tau = vec![0.5, 0.0, 0.0, 0.5];
         let gamma = vec![1.0, 1.0];
         let phi_other = vec![1.0, 0.0];
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 2.0), (&phi_other, 0.5)]);
+        let task = build(&space, &item, &tau, &[(&gamma, 2.0), (&phi_other, 0.5)]);
         // rows = 4 (opinion) + 2 + 2.
         assert_eq!(task.matrix.rows(), 8);
         assert_eq!(task.matrix.cols(), 2);
@@ -1351,8 +1098,8 @@ mod tests {
         let all: Vec<usize> = (0..7).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-        let sel = integer_regression(&task, 3, |s| {
+        let task = build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let sel = lenient(&task, 3, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
             sq_distance(&tau, &pi) + sq_distance(&gamma, &phi)
@@ -1376,8 +1123,8 @@ mod tests {
         let all: Vec<usize> = (0..7).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-        let sel = integer_regression(&task, 4, |s| {
+        let task = build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let sel = lenient(&task, 4, |s| {
             let pi = space.pi(&item, &s.indices);
             let phi = space.phi(&item, &s.indices);
             sq_distance(&tau, &pi) + sq_distance(&gamma, &phi)
@@ -1402,8 +1149,8 @@ mod tests {
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
         for m in 1..=5 {
-            let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-            let sel = integer_regression(&task, m, |s| {
+            let task = build(&space, &item, &tau, &[(&gamma, 1.0)]);
+            let sel = lenient(&task, m, |s| {
                 let pi = space.pi(&item, &s.indices);
                 sq_distance(&tau, &pi)
             });
@@ -1418,8 +1165,8 @@ mod tests {
         let space = VectorSpace::new(1, OpinionScheme::Binary);
         let tau = vec![1.0, 0.0];
         let gamma = vec![1.0];
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
-        let sel = integer_regression(&task, 3, |s| {
+        let task = build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let sel = lenient(&task, 3, |s| {
             sq_distance(&tau, &space.pi(&item, &s.indices))
         });
         assert_eq!(sel.indices, vec![0]);
@@ -1477,14 +1224,9 @@ mod tests {
             &mut warm,
         )
         .unwrap();
-        let rebuilt = RegressionTask::try_build_with(
-            &space,
-            &grown_item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-        )
-        .unwrap();
+        let rebuilt =
+            RegressionTask::build(&space, &grown_item, &tau, &targets, MatrixBackend::Sparse)
+                .unwrap();
         assert!(grown.matrix.is_sparse());
         assert_matrices_bit_identical(&grown.matrix, &rebuilt.matrix, "grown vs rebuilt");
 
@@ -1537,8 +1279,7 @@ mod tests {
         )
         .unwrap();
         let fresh =
-            RegressionTask::try_build_with(&space, &item, &tau, &reweighted, MatrixBackend::Sparse)
-                .unwrap();
+            RegressionTask::build(&space, &item, &tau, &reweighted, MatrixBackend::Sparse).unwrap();
         assert_matrices_bit_identical(
             &rebuilt_via_session.matrix,
             &fresh.matrix,
@@ -1551,14 +1292,20 @@ mod tests {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(2, OpinionScheme::Binary);
         let short_tau = vec![1.0]; // opinion_dim is 4 for Binary over 2 aspects
-        let r = RegressionTask::try_build(&space, &item, &short_tau, &[]);
+        let r = RegressionTask::build(&space, &item, &short_tau, &[], MatrixBackend::Auto);
         assert!(matches!(
             r,
             Err(crate::error::CoreError::DimensionMismatch { .. })
         ));
         let tau = vec![0.0; space.opinion_dim()];
         let short_gamma = vec![1.0];
-        let r = RegressionTask::try_build(&space, &item, &tau, &[(&short_gamma, 1.0)]);
+        let r = RegressionTask::build(
+            &space,
+            &item,
+            &tau,
+            &[(&short_gamma, 1.0)],
+            MatrixBackend::Auto,
+        );
         assert!(matches!(
             r,
             Err(crate::error::CoreError::DimensionMismatch { .. })
@@ -1572,14 +1319,14 @@ mod tests {
         let all: Vec<usize> = (0..7).collect();
         let tau = space.pi(&item, &all);
         let gamma = space.phi(&item, &all);
-        let task = RegressionTask::build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let task = build(&space, &item, &tau, &[(&gamma, 1.0)]);
         let eval = |s: &Selection| {
             sq_distance(&tau, &space.pi(&item, &s.indices))
                 + sq_distance(&gamma, &space.phi(&item, &s.indices))
         };
-        let legacy = integer_regression(&task, 3, eval);
-        let strict = try_integer_regression(&task, 3, eval).unwrap();
-        assert_eq!(legacy, strict);
+        let legacy = lenient(&task, 3, eval);
+        let reported = strict(&task, 3, eval).unwrap();
+        assert_eq!(legacy, reported);
     }
 
     #[test]
@@ -1587,13 +1334,13 @@ mod tests {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(1, OpinionScheme::Binary);
         let tau = vec![1.0, 0.0];
-        let mut task = RegressionTask::build(&space, &item, &tau, &[]);
+        let mut task = build(&space, &item, &tau, &[]);
         task.target[0] = f64::NAN;
-        let r = try_integer_regression(&task, 2, |_| 0.0);
+        let r = strict(&task, 2, |_| 0.0);
         assert!(matches!(r, Err(SolveError::NonFinite { .. })));
         // The legacy entry point degrades to the single-review fallback
         // instead of failing.
-        let sel = integer_regression(&task, 2, |_| 0.0);
+        let sel = lenient(&task, 2, |_| 0.0);
         assert_eq!(sel.indices, vec![0]);
     }
 }

@@ -19,14 +19,17 @@
 //!
 //! ```
 //! use comparesets_data::CategoryPreset;
-//! use comparesets_core::{InstanceContext, OpinionScheme, SelectParams};
+//! use comparesets_core::{
+//!     solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+//! };
 //!
 //! let dataset = CategoryPreset::Cellphone.config(60, 7).generate();
 //! let instance = dataset.instances().into_iter().next().unwrap();
 //! let ctx = InstanceContext::build(&dataset, &instance.truncated(5), OpinionScheme::Binary);
 //!
 //! let params = SelectParams { m: 3, lambda: 1.0, mu: 0.1 };
-//! let selections = comparesets_core::solve_comparesets_plus(&ctx, &params);
+//! let opts = SolveOptions::default();
+//! let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
 //! assert_eq!(selections.len(), ctx.num_items());
 //! for s in &selections {
 //!     assert!(s.indices.len() <= 3);
@@ -50,24 +53,17 @@ pub mod space;
 
 pub use baselines::{solve_greedy, solve_random};
 pub use comparesets::{
-    solve_comparesets, solve_comparesets_checked, solve_comparesets_plus,
-    solve_comparesets_plus_checked, solve_comparesets_plus_sweeps,
-    solve_comparesets_plus_sweeps_warm_with, solve_comparesets_plus_sweeps_with,
-    solve_comparesets_plus_with, solve_comparesets_with,
+    solve_comparesets_plus_sweeps_checked, solve_comparesets_plus_sweeps_warm_with,
+    solve_comparesets_plus_sweeps_with,
 };
 pub use comparison_table::{AspectRow, CellCounts, ComparisonTable};
-pub use crs::{solve_crs, solve_crs_checked, solve_crs_with};
 pub use error::CoreError;
 pub use exhaustive::{solve_exhaustive, solve_exhaustive_item};
 pub use incremental::{IncrementalSession, SessionEvent};
 pub use instance::{InstanceContext, Item, ReviewFeature, Selection};
 pub use integer_regression::{
-    integer_regression, integer_regression_ctl, integer_regression_metered,
-    integer_regression_session_ctl, integer_regression_warm_ctl, integer_regression_with,
-    try_integer_regression, try_integer_regression_ctl, try_integer_regression_metered,
-    try_integer_regression_session_ctl, try_integer_regression_warm_ctl,
-    try_integer_regression_with, MatrixBackend, RegressionTask, RegressionWarm, TaskMatrix,
-    DENSITY_CROSSOVER,
+    integer_regression, integer_regression_session, MatrixBackend, RegressionTask, RegressionWarm,
+    TaskMatrix, DENSITY_CROSSOVER,
 };
 pub use objective::{
     comparesets_objective, comparesets_plus_objective, item_objective, pair_distance,
@@ -77,6 +73,7 @@ pub use space::{OpinionScheme, VectorSpace};
 pub use comparesets_obs::{
     CancelToken, MetricsReport, MetricsSnapshot, SolveCtl, SolverMetrics, METRICS_SCHEMA,
 };
+use integer_regression::OnFailure;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,17 +103,14 @@ impl Default for SelectParams {
 /// solver, never what it computes.
 ///
 /// **Determinism guarantee:** for any fixed inputs, every solver returns
-/// the same selections and objectives under every `SolveOptions` value.
-/// Parallel runs fan independent per-item regressions over rayon and
-/// collect the results in item order (never completion order), so turning
-/// parallelism on is purely a wall-clock decision.
+/// the same selections and objectives under every `SolveOptions` value
+/// whose token never fires. Solves run sequentially on the calling
+/// thread, item by item.
 ///
-/// The optional `metrics` collector is likewise observation-only: solvers
-/// count pursuit iterations, refits, and fallback activations into it
-/// (see ARCHITECTURE.md §7) without ever reading it back, and with the
-/// default `None` no counter or clock is touched at all. Because the
-/// per-item work is identical under parallel and sequential execution,
-/// the aggregate counters are too.
+/// The optional `metrics` collector is observation-only: solvers count
+/// pursuit iterations, refits, and fallback activations into it (see
+/// ARCHITECTURE.md §7) without ever reading it back, and with the default
+/// `None` no counter or clock is touched at all.
 ///
 /// The optional `cancel` token is the one knob that *can* change results —
 /// by design: once the token fires (explicit cancel or deadline expiry)
@@ -141,11 +135,6 @@ impl Default for SelectParams {
 /// `crates/core/tests/backend_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// Fan independent per-item regression tasks out over rayon's pool.
-    pub parallel: bool,
-    /// Worker count for parallel runs; `None` uses rayon's global default
-    /// (all cores). Ignored when `parallel` is false.
-    pub threads: Option<usize>,
     /// Carry per-item warm-start caches across alternating sweeps and
     /// incremental re-solves (on by default).
     pub warm_start: bool,
@@ -165,8 +154,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            parallel: false,
-            threads: None,
             warm_start: true,
             backend: MatrixBackend::Auto,
             metrics: None,
@@ -176,26 +163,9 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// Sequential execution (the default).
+    /// The default options; every solve runs sequentially.
     pub fn sequential() -> Self {
         SolveOptions::default()
-    }
-
-    /// Parallel execution on rayon's global pool.
-    pub fn parallel() -> Self {
-        SolveOptions {
-            parallel: true,
-            ..SolveOptions::default()
-        }
-    }
-
-    /// Parallel execution on a dedicated pool of `n` workers.
-    pub fn with_threads(n: usize) -> Self {
-        SolveOptions {
-            parallel: true,
-            threads: Some(n),
-            ..SolveOptions::default()
-        }
     }
 
     /// This options value with a metrics collector attached.
@@ -251,19 +221,6 @@ impl SolveOptions {
     }
 }
 
-/// Run `f` on the pool the options ask for: a dedicated pool when a thread
-/// count is pinned, rayon's global pool otherwise. Falls back to the
-/// calling thread if the dedicated pool cannot be built.
-pub(crate) fn run_on_pool<R: Send>(opts: &SolveOptions, f: impl FnOnce() -> R + Send) -> R {
-    match opts.threads {
-        Some(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
-            Ok(pool) => pool.install(f),
-            Err(_) => f(),
-        },
-        None => f(),
-    }
-}
-
 /// Which selection algorithm to run; used by the evaluation harness to
 /// sweep the baselines of §4.1.2 uniformly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -302,22 +259,41 @@ impl Algorithm {
     }
 }
 
-/// Run the chosen algorithm on a prepared instance context.
-///
-/// `seed` only affects [`Algorithm::Random`].
-pub fn solve(
+/// Every algorithm's per-item results under one failure policy.
+fn solve_slots(
     ctx: &InstanceContext,
     algorithm: Algorithm,
     params: &SelectParams,
     seed: u64,
-) -> Vec<Selection> {
-    solve_with(ctx, algorithm, params, seed, &SolveOptions::default())
+    opts: &SolveOptions,
+    on_failure: OnFailure,
+) -> Vec<Result<Selection, CoreError>> {
+    match algorithm {
+        Algorithm::Random => solve_random(ctx, params.m, seed)
+            .into_iter()
+            .map(Ok)
+            .collect(),
+        Algorithm::Crs => crs::solve_crs(ctx, params.m, opts, on_failure),
+        Algorithm::CompareSetsGreedy => solve_greedy(ctx, params).into_iter().map(Ok).collect(),
+        Algorithm::CompareSets => comparesets::solve_comparesets(ctx, params, opts, on_failure),
+        Algorithm::CompareSetsPlus => {
+            let mut warm = comparesets::fresh_warm(ctx);
+            comparesets::solve_comparesets_plus(ctx, params, 1, opts, &mut warm, on_failure)
+        }
+    }
 }
 
-/// [`solve`] with execution options. The regression-based solvers (CRS,
-/// CompaReSetS, CompaReSetS+) honour [`SolveOptions::parallel`]; the
-/// random and greedy baselines are cheap enough that they always run
-/// sequentially. Selections are identical for every options value.
+/// Run the chosen algorithm on a prepared instance context.
+///
+/// `seed` only affects [`Algorithm::Random`]. CompaReSetS+ runs Algorithm
+/// 1's single sweep (see [`solve_comparesets_plus_sweeps_with`] for more).
+/// A regression whose continuous relaxation fails falls back to the
+/// item's best single review, so every item gets a selection; selections
+/// are identical for every options value whose token never fires.
+///
+/// # Panics
+/// On a malformed context whose target vectors do not fit its vector
+/// space (never the case for [`InstanceContext::build`]).
 pub fn solve_with(
     ctx: &InstanceContext,
     algorithm: Algorithm,
@@ -325,29 +301,35 @@ pub fn solve_with(
     seed: u64,
     opts: &SolveOptions,
 ) -> Vec<Selection> {
-    match algorithm {
-        Algorithm::Random => solve_random(ctx, params.m, seed),
-        Algorithm::Crs => solve_crs_with(ctx, params.m, opts),
-        Algorithm::CompareSetsGreedy => solve_greedy(ctx, params),
-        Algorithm::CompareSets => solve_comparesets_with(ctx, params, opts),
-        Algorithm::CompareSetsPlus => solve_comparesets_plus_with(ctx, params, opts),
-    }
+    comparesets::fallback_selections(solve_slots(
+        ctx,
+        algorithm,
+        params,
+        seed,
+        opts,
+        OnFailure::Fallback,
+    ))
 }
 
 /// Checked variant of [`solve_with`]: validates parameters up front and
-/// isolates per-item solver failures instead of panicking or silently
-/// degrading.
+/// isolates per-item solver failures instead of silently degrading.
 ///
-/// The regression-based algorithms (CRS, CompaReSetS, CompaReSetS+) route
-/// through their `_checked` solvers, so a degenerate item lands as
+/// The outer vector has one slot per item, in item order. For the
+/// regression-based algorithms (CRS, CompaReSetS, CompaReSetS+) a
+/// degenerate item (e.g. NaN-contaminated features) lands as
 /// `Err(CoreError::Solver { item, .. })` in its slot while the rest of the
-/// batch completes. The random and greedy baselines cannot fail
-/// numerically; their selections are wrapped in `Ok` unconditionally. On
-/// well-posed inputs every slot is `Ok` and bit-identical to
-/// [`solve_with`].
+/// batch completes — one bad item never poisons the batch, and CompaReSetS+
+/// leaves it out of the coupling. The random and greedy baselines cannot
+/// fail numerically; their selections are wrapped in `Ok`
+/// unconditionally. On well-posed inputs every slot is `Ok` and
+/// bit-identical to [`solve_with`].
 ///
 /// # Errors
-/// [`CoreError::InvalidParams`] on structurally invalid parameters.
+/// [`CoreError::InvalidParams`] on structurally invalid parameters (m = 0,
+/// non-finite λ/μ), before any item is touched;
+/// [`CoreError::DeadlineExceeded`] with the feasible best-so-far
+/// selections when a regression-based solve observed the options'
+/// cancellation token fire.
 pub fn solve_checked(
     ctx: &InstanceContext,
     algorithm: Algorithm,
@@ -356,15 +338,11 @@ pub fn solve_checked(
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
     error::validate_params(params)?;
+    let slots = solve_slots(ctx, algorithm, params, seed, opts, OnFailure::Report);
     match algorithm {
-        Algorithm::Random => Ok(solve_random(ctx, params.m, seed)
-            .into_iter()
-            .map(Ok)
-            .collect()),
-        Algorithm::Crs => solve_crs_checked(ctx, params.m, opts),
-        Algorithm::CompareSetsGreedy => Ok(solve_greedy(ctx, params).into_iter().map(Ok).collect()),
-        Algorithm::CompareSets => solve_comparesets_checked(ctx, params, opts),
-        Algorithm::CompareSetsPlus => solve_comparesets_plus_checked(ctx, params, 1, opts),
+        // The baselines never poll the token.
+        Algorithm::Random | Algorithm::CompareSetsGreedy => Ok(slots),
+        _ => comparesets::classify_deadline(slots, opts),
     }
 }
 

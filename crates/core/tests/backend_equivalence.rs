@@ -8,9 +8,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_core::{
-    solve_comparesets_plus_sweeps_with, solve_comparesets_with, solve_crs_with, IncrementalSession,
-    InstanceContext, MatrixBackend, OpinionScheme, RegressionTask, ReviewFeature, SelectParams,
-    SolveOptions, DENSITY_CROSSOVER,
+    solve_comparesets_plus_sweeps_with, solve_with, Algorithm, IncrementalSession, InstanceContext,
+    MatrixBackend, OpinionScheme, RegressionTask, ReviewFeature, SelectParams, SolveOptions,
+    DENSITY_CROSSOVER,
 };
 use comparesets_data::{CategoryPreset, Polarity, ReviewId};
 
@@ -44,20 +44,22 @@ fn forced_backends_actually_force_the_representation() {
         ],
     );
     let ctx = InstanceContext::from_items(2, vec![item], OpinionScheme::Binary);
-    let dense = RegressionTask::build_with(
+    let dense = RegressionTask::build(
         ctx.space(),
         ctx.item(0),
         ctx.tau(0),
         &[],
         MatrixBackend::Dense,
-    );
-    let sparse = RegressionTask::build_with(
+    )
+    .unwrap();
+    let sparse = RegressionTask::build(
         ctx.space(),
         ctx.item(0),
         ctx.tau(0),
         &[],
         MatrixBackend::Sparse,
-    );
+    )
+    .unwrap();
     assert!(!dense.matrix.is_sparse());
     assert!(sparse.matrix.is_sparse());
     // Same numbers either way.
@@ -72,13 +74,14 @@ fn forced_backends_actually_force_the_representation() {
         }
     }
     // Auto follows the documented density rule.
-    let auto = RegressionTask::build_with(
+    let auto = RegressionTask::build(
         ctx.space(),
         ctx.item(0),
         ctx.tau(0),
         &[],
         MatrixBackend::Auto,
-    );
+    )
+    .unwrap();
     let density = {
         let (rows, cols) = (auto.matrix.rows(), auto.matrix.cols());
         let mut nnz = 0usize;
@@ -98,11 +101,17 @@ fn forced_backends_actually_force_the_representation() {
 fn comparesets_selections_are_backend_invariant() {
     let params = SelectParams::default();
     for ctx in &contexts() {
-        let baseline = solve_comparesets_with(ctx, &params, &opts(MatrixBackend::Auto));
+        let baseline = solve_with(
+            ctx,
+            Algorithm::CompareSets,
+            &params,
+            0,
+            &opts(MatrixBackend::Auto),
+        );
         for backend in BACKENDS {
             assert_eq!(
                 baseline,
-                solve_comparesets_with(ctx, &params, &opts(backend)),
+                solve_with(ctx, Algorithm::CompareSets, &params, 0, &opts(backend)),
                 "CompaReSetS drifted under {backend:?}"
             );
         }
@@ -136,10 +145,15 @@ fn plus_sweeps_are_backend_invariant_warm_and_cold() {
 
 #[test]
 fn crs_is_backend_invariant() {
+    // The default budget is m = 3.
+    let params = SelectParams::default();
     for ctx in &contexts() {
-        let baseline = solve_crs_with(ctx, 3, &opts(MatrixBackend::Dense));
+        let baseline = solve_with(ctx, Algorithm::Crs, &params, 0, &opts(MatrixBackend::Dense));
         for backend in BACKENDS {
-            assert_eq!(baseline, solve_crs_with(ctx, 3, &opts(backend)));
+            assert_eq!(
+                baseline,
+                solve_with(ctx, Algorithm::Crs, &params, 0, &opts(backend))
+            );
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. **No-op tokens are free**: an installed token that never fires
 //!    leaves every solver's selections bit-identical to running without
-//!    one, sequential and parallel alike.
+//!    one.
 //! 2. **Feasibility**: whenever a checked solver reports
 //!    `DeadlineExceeded`, `best_so_far` has one selection per item, each
 //!    non-empty, within budget, and indexing real reviews — no matter
@@ -24,9 +24,8 @@
 use std::sync::Arc;
 
 use comparesets_core::{
-    comparesets_plus_objective, solve_comparesets_plus_checked, solve_comparesets_plus_with,
-    solve_crs_checked, solve_crs_with, CancelToken, CoreError, InstanceContext, OpinionScheme,
-    SelectParams, Selection, SolveOptions, SolverMetrics,
+    comparesets_plus_objective, solve_checked, solve_with, Algorithm, CancelToken, CoreError,
+    InstanceContext, OpinionScheme, SelectParams, Selection, SolveOptions, SolverMetrics,
 };
 use comparesets_data::CategoryPreset;
 
@@ -74,21 +73,30 @@ fn selections_of(
 fn never_firing_token_is_bit_identical_everywhere() {
     let ctx = context();
     let p = params();
-    let plain = solve_comparesets_plus_with(&ctx, &p, &SolveOptions::sequential());
-    let plain_crs = solve_crs_with(&ctx, p.m, &SolveOptions::sequential());
-    for opts in [
-        SolveOptions::sequential(),
-        SolveOptions::parallel(),
-        SolveOptions::with_threads(2),
-    ] {
-        let opts = opts.with_cancel(Arc::new(CancelToken::new()));
-        assert_eq!(plain, solve_comparesets_plus_with(&ctx, &p, &opts));
-        assert_eq!(plain_crs, solve_crs_with(&ctx, p.m, &opts));
-        // Checked path: completes as Ok, no deadline classification.
-        let (sels, expired) = selections_of(solve_comparesets_plus_checked(&ctx, &p, 1, &opts));
-        assert!(!expired);
-        assert_eq!(plain, sels);
-    }
+    let plain = solve_with(
+        &ctx,
+        Algorithm::CompareSetsPlus,
+        &p,
+        0,
+        &SolveOptions::sequential(),
+    );
+    let plain_crs = solve_with(&ctx, Algorithm::Crs, &p, 0, &SolveOptions::sequential());
+    let opts = SolveOptions::sequential().with_cancel(Arc::new(CancelToken::new()));
+    assert_eq!(
+        plain,
+        solve_with(&ctx, Algorithm::CompareSetsPlus, &p, 0, &opts)
+    );
+    assert_eq!(plain_crs, solve_with(&ctx, Algorithm::Crs, &p, 0, &opts));
+    // Checked path: completes as Ok, no deadline classification.
+    let (sels, expired) = selections_of(solve_checked(
+        &ctx,
+        Algorithm::CompareSetsPlus,
+        &p,
+        0,
+        &opts,
+    ));
+    assert!(!expired);
+    assert_eq!(plain, sels);
 }
 
 #[test]
@@ -96,7 +104,7 @@ fn best_so_far_is_feasible_at_every_kill_point() {
     let ctx = context();
     let p = params();
     let total = count_checks(|opts| {
-        let _ = solve_comparesets_plus_checked(&ctx, &p, 1, opts);
+        let _ = solve_checked(&ctx, Algorithm::CompareSetsPlus, &p, 0, opts);
     });
     assert!(total > 10, "expected a non-trivial poll sequence");
 
@@ -106,8 +114,13 @@ fn best_so_far_is_feasible_at_every_kill_point() {
     let mut kills: Vec<u64> = (0..total).step_by(stride as usize).collect();
     kills.push(total - 1);
     for k in kills {
-        let (sels, expired) =
-            selections_of(solve_comparesets_plus_checked(&ctx, &p, 1, &plus_opts(k)));
+        let (sels, expired) = selections_of(solve_checked(
+            &ctx,
+            Algorithm::CompareSetsPlus,
+            &p,
+            0,
+            &plus_opts(k),
+        ));
         assert!(expired, "token with budget {k} < {total} must classify");
         assert_eq!(sels.len(), ctx.num_items(), "kill at {k}");
         for (i, s) in sels.iter().enumerate() {
@@ -121,16 +134,23 @@ fn best_so_far_is_feasible_at_every_kill_point() {
     }
 
     // A budget covering every poll never fires: the solve completes.
-    let (sels, expired) = selections_of(solve_comparesets_plus_checked(
+    let (sels, expired) = selections_of(solve_checked(
         &ctx,
+        Algorithm::CompareSetsPlus,
         &p,
-        1,
+        0,
         &plus_opts(total),
     ));
     assert!(!expired);
     assert_eq!(
         sels,
-        solve_comparesets_plus_with(&ctx, &p, &SolveOptions::sequential())
+        solve_with(
+            &ctx,
+            Algorithm::CompareSetsPlus,
+            &p,
+            0,
+            &SolveOptions::sequential()
+        )
     );
 }
 
@@ -145,10 +165,10 @@ fn objective_is_monotone_non_increasing_in_the_deadline_after_the_seed() {
     // completed alternation round accepts candidates only when they lower
     // the synchronized objective.
     let t_seed = count_checks(|opts| {
-        let _ = comparesets_core::solve_comparesets_checked(&ctx, &p, opts);
+        let _ = solve_checked(&ctx, Algorithm::CompareSets, &p, 0, opts);
     });
     let total = count_checks(|opts| {
-        let _ = solve_comparesets_plus_checked(&ctx, &p, 1, opts);
+        let _ = solve_checked(&ctx, Algorithm::CompareSetsPlus, &p, 0, opts);
     });
     assert!(total > t_seed, "alternation phase must poll");
 
@@ -157,7 +177,13 @@ fn objective_is_monotone_non_increasing_in_the_deadline_after_the_seed() {
     let mut kills: Vec<u64> = (t_seed..total).step_by(stride as usize).collect();
     kills.push(total);
     for k in kills {
-        let (sels, _) = selections_of(solve_comparesets_plus_checked(&ctx, &p, 1, &plus_opts(k)));
+        let (sels, _) = selections_of(solve_checked(
+            &ctx,
+            Algorithm::CompareSetsPlus,
+            &p,
+            0,
+            &plus_opts(k),
+        ));
         let obj = comparesets_plus_objective(&ctx, &sels, p.lambda, p.mu);
         if let Some((pk, pobj)) = prev {
             assert!(
@@ -177,7 +203,7 @@ fn expiry_is_classified_and_counted() {
     let opts = SolveOptions::sequential()
         .with_metrics(Arc::clone(&metrics))
         .with_cancel(Arc::new(CancelToken::cancel_after(0)));
-    let r = solve_comparesets_plus_checked(&ctx, &p, 1, &opts);
+    let r = solve_checked(&ctx, Algorithm::CompareSetsPlus, &p, 0, &opts);
     assert!(matches!(r, Err(CoreError::DeadlineExceeded { .. })));
     let snap = metrics.snapshot();
     assert_eq!(snap.deadline_expirations, 1);
@@ -185,7 +211,7 @@ fn expiry_is_classified_and_counted() {
 
     // CRS classifies the same way.
     let opts = SolveOptions::sequential().with_cancel(Arc::new(CancelToken::cancel_after(0)));
-    match solve_crs_checked(&ctx, p.m, &opts) {
+    match solve_checked(&ctx, Algorithm::Crs, &p, 0, &opts) {
         Err(CoreError::DeadlineExceeded { best_so_far }) => {
             assert_eq!(best_so_far.len(), ctx.num_items());
             assert!(best_so_far.iter().all(|s| !s.is_empty()));
@@ -196,7 +222,7 @@ fn expiry_is_classified_and_counted() {
     // An explicit wall-clock deadline in the past behaves identically.
     let opts = SolveOptions::sequential().with_timeout(std::time::Duration::ZERO);
     assert!(matches!(
-        solve_comparesets_plus_checked(&ctx, &p, 1, &opts),
+        solve_checked(&ctx, Algorithm::CompareSetsPlus, &p, 0, &opts),
         Err(CoreError::DeadlineExceeded { .. })
     ));
 }

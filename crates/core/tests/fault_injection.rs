@@ -1,14 +1,13 @@
 //! Fault injection at the batch-solver level: a degenerate item must land
 //! as a per-item `Err` in its slot — with the failing item's index and a
-//! typed linalg cause — while every other item still solves. Parallel and
-//! sequential runs must agree slot for slot.
+//! typed linalg cause — while every other item still solves. The lenient
+//! `solve_with` hands the same item its single-review fallback instead.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_core::{
-    solve_checked, solve_comparesets_checked, solve_comparesets_plus_checked, solve_crs_checked,
-    Algorithm, CoreError, InstanceContext, Item, OpinionScheme, SelectParams, Selection,
-    SolveOptions,
+    solve_checked, solve_comparesets_plus_sweeps_checked, solve_with, Algorithm, CoreError,
+    InstanceContext, Item, OpinionScheme, SelectParams, Selection, SolveOptions,
 };
 use comparesets_data::{Polarity, ProductId, ReviewId};
 use comparesets_linalg::LinalgError;
@@ -64,14 +63,30 @@ fn assert_slot_pattern(slots: &[Result<Selection, CoreError>], what: &str) {
 fn nan_target_poisons_only_its_own_slot() {
     let ctx = contaminated_context();
     let params = SelectParams::default();
-    let seq = solve_comparesets_checked(&ctx, &params, &SolveOptions::sequential()).unwrap();
+    let seq = solve_checked(
+        &ctx,
+        Algorithm::CompareSets,
+        &params,
+        0,
+        &SolveOptions::sequential(),
+    )
+    .unwrap();
     assert_slot_pattern(&seq, "comparesets seq");
 }
 
 #[test]
 fn crs_isolates_the_degenerate_item() {
     let ctx = contaminated_context();
-    let slots = solve_crs_checked(&ctx, 3, &SolveOptions::sequential()).unwrap();
+    // The default budget is m = 3.
+    let params = SelectParams::default();
+    let slots = solve_checked(
+        &ctx,
+        Algorithm::Crs,
+        &params,
+        0,
+        &SolveOptions::sequential(),
+    )
+    .unwrap();
     assert_slot_pattern(&slots, "crs seq");
 }
 
@@ -80,26 +95,9 @@ fn plus_sweeps_complete_despite_a_poisoned_item() {
     let ctx = contaminated_context();
     let params = SelectParams::default();
     let slots =
-        solve_comparesets_plus_checked(&ctx, &params, 2, &SolveOptions::sequential()).unwrap();
+        solve_comparesets_plus_sweeps_checked(&ctx, &params, 2, &SolveOptions::sequential())
+            .unwrap();
     assert_slot_pattern(&slots, "comparesets+ seq");
-}
-
-#[test]
-fn parallel_and_sequential_agree_slot_for_slot_under_faults() {
-    let ctx = contaminated_context();
-    let params = SelectParams::default();
-    let seq = solve_comparesets_checked(&ctx, &params, &SolveOptions::sequential()).unwrap();
-    for opts in [SolveOptions::parallel(), SolveOptions::with_threads(2)] {
-        let par = solve_comparesets_checked(&ctx, &params, &opts).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (i, (s, p)) in seq.iter().zip(par.iter()).enumerate() {
-            match (s, p) {
-                (Ok(a), Ok(b)) => assert_eq!(a.indices, b.indices, "item {i} {opts:?}"),
-                (Err(a), Err(b)) => assert_eq!(a, b, "item {i} {opts:?}"),
-                (a, b) => panic!("item {i} {opts:?}: seq {a:?} vs par {b:?}"),
-            }
-        }
-    }
 }
 
 #[test]
@@ -114,6 +112,18 @@ fn solve_checked_covers_every_algorithm_under_faults() {
             // The regression-based solvers see τ₁ and must classify it.
             Algorithm::Crs | Algorithm::CompareSets | Algorithm::CompareSetsPlus => {
                 assert_slot_pattern(&slots, alg.name());
+                // The lenient path degrades the poisoned item to its
+                // single-review fallback instead of failing it.
+                let lenient = solve_with(&ctx, alg, &params, 7, &opts);
+                assert_eq!(lenient.len(), 3, "{alg:?}");
+                assert_eq!(lenient[1].len(), 1, "{alg:?}: fallback is one review");
+                if alg != Algorithm::CompareSetsPlus {
+                    // Independent items: the healthy slots agree exactly
+                    // (CompaReSetS+ couples them to the fallback instead).
+                    for i in [0, 2] {
+                        assert_eq!(slots[i].as_ref().ok(), Some(&lenient[i]), "{alg:?} {i}");
+                    }
+                }
             }
             // Random never touches τ; greedy scans cost values that go NaN
             // but its scan is total, so both complete without erroring.
@@ -161,7 +171,14 @@ fn invalid_params_reject_before_any_item_solves() {
 fn error_chain_is_readable_end_to_end() {
     let ctx = contaminated_context();
     let params = SelectParams::default();
-    let slots = solve_comparesets_checked(&ctx, &params, &SolveOptions::sequential()).unwrap();
+    let slots = solve_checked(
+        &ctx,
+        Algorithm::CompareSets,
+        &params,
+        0,
+        &SolveOptions::sequential(),
+    )
+    .unwrap();
     let err = slots[1].as_ref().unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("item 1"), "{msg}");

@@ -1,9 +1,18 @@
 //! Property-based tests for the selection algorithms.
 
 use comparesets_core::{
-    comparesets_objective, comparesets_plus_objective, item_objective, solve, Algorithm,
-    InstanceContext, Item, OpinionScheme, ReviewFeature, SelectParams, Selection,
+    comparesets_objective, comparesets_plus_objective, item_objective, solve_with, Algorithm,
+    InstanceContext, Item, OpinionScheme, ReviewFeature, SelectParams, Selection, SolveOptions,
 };
+
+fn solve(
+    ctx: &InstanceContext,
+    alg: Algorithm,
+    params: &SelectParams,
+    seed: u64,
+) -> Vec<Selection> {
+    solve_with(ctx, alg, params, seed, &SolveOptions::default())
+}
 use comparesets_data::{Polarity, ProductId, ReviewId};
 use proptest::prelude::*;
 

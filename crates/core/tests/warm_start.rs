@@ -1,18 +1,18 @@
 //! Warm-start pinning tests: carrying per-item warm-start caches across
 //! alternating sweeps and incremental re-solves must never change a
 //! selection. Every solver that threads [`RegressionWarm`] state is
-//! compared byte-for-byte against its cold-start twin, sequentially and
-//! in parallel, and the v3 warm-start counters are checked to actually
-//! fire on multi-sweep workloads.
+//! compared byte-for-byte against its cold-start twin, and the v3
+//! warm-start counters are checked to actually fire on multi-sweep
+//! workloads.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
 
 use comparesets_core::{
-    solve_comparesets_plus_checked, solve_comparesets_plus_sweeps_with, solve_comparesets_with,
-    solve_crs_with, IncrementalSession, InstanceContext, OpinionScheme, ReviewFeature,
-    SelectParams, Selection, SolveOptions, SolverMetrics,
+    solve_comparesets_plus_sweeps_checked, solve_comparesets_plus_sweeps_with, IncrementalSession,
+    InstanceContext, OpinionScheme, ReviewFeature, SelectParams, Selection, SolveOptions,
+    SolverMetrics,
 };
 use comparesets_data::{CategoryPreset, Polarity, ReviewId};
 
@@ -33,7 +33,7 @@ fn cold() -> SolveOptions {
 #[test]
 fn warm_start_defaults_on_and_the_builder_flips_it() {
     assert!(SolveOptions::default().warm_start);
-    assert!(SolveOptions::parallel().warm_start);
+    assert!(SolveOptions::sequential().warm_start);
     assert!(!cold().warm_start);
 }
 
@@ -42,16 +42,15 @@ fn warm_sweeps_select_identically_to_cold_sweeps() {
     let params = SelectParams::default();
     for ctx in &contexts() {
         for sweeps in 1..=4 {
-            for opts in [SolveOptions::sequential(), SolveOptions::with_threads(2)] {
-                let warm = solve_comparesets_plus_sweeps_with(ctx, &params, sweeps, &opts);
-                let coldsel = solve_comparesets_plus_sweeps_with(
-                    ctx,
-                    &params,
-                    sweeps,
-                    &opts.clone().with_warm_start(false),
-                );
-                assert_eq!(warm, coldsel, "sweeps={sweeps} drifted under warm starts");
-            }
+            let opts = SolveOptions::sequential();
+            let warm = solve_comparesets_plus_sweeps_with(ctx, &params, sweeps, &opts);
+            let coldsel = solve_comparesets_plus_sweeps_with(
+                ctx,
+                &params,
+                sweeps,
+                &opts.clone().with_warm_start(false),
+            );
+            assert_eq!(warm, coldsel, "sweeps={sweeps} drifted under warm starts");
         }
     }
 }
@@ -90,36 +89,24 @@ fn checked_warm_sweeps_select_identically_to_cold_sweeps() {
     let params = SelectParams::default();
     for ctx in &contexts() {
         for sweeps in [1, 3] {
-            let warm: Vec<Selection> =
-                solve_comparesets_plus_checked(ctx, &params, sweeps, &SolveOptions::default())
-                    .unwrap()
-                    .into_iter()
-                    .map(|r| r.unwrap())
-                    .collect();
+            let warm: Vec<Selection> = solve_comparesets_plus_sweeps_checked(
+                ctx,
+                &params,
+                sweeps,
+                &SolveOptions::default(),
+            )
+            .unwrap()
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
             let coldsel: Vec<Selection> =
-                solve_comparesets_plus_checked(ctx, &params, sweeps, &cold())
+                solve_comparesets_plus_sweeps_checked(ctx, &params, sweeps, &cold())
                     .unwrap()
                     .into_iter()
                     .map(|r| r.unwrap())
                     .collect();
             assert_eq!(warm, coldsel, "checked sweeps={sweeps} drifted");
         }
-    }
-}
-
-#[test]
-fn pooled_parallel_fanout_matches_sequential_exactly() {
-    // The rayon fan-outs now borrow thread-local pooled workspaces; the
-    // pooling must be invisible in the results of every batch solver.
-    let params = SelectParams::default();
-    for ctx in &contexts() {
-        let seq = SolveOptions::sequential();
-        let par = SolveOptions::with_threads(2);
-        assert_eq!(
-            solve_comparesets_with(ctx, &params, &seq),
-            solve_comparesets_with(ctx, &params, &par),
-        );
-        assert_eq!(solve_crs_with(ctx, 3, &seq), solve_crs_with(ctx, 3, &par));
     }
 }
 

@@ -14,8 +14,8 @@
 //!    TargetHkS solver like Table 5 does for Algorithm 2.
 
 use comparesets_core::{
-    comparesets_plus_objective, item_objective, solve, solve_comparesets_plus_sweeps,
-    solve_exhaustive_item, Algorithm, SelectParams,
+    comparesets_plus_objective, item_objective, solve_comparesets_plus_sweeps_with,
+    solve_exhaustive_item, solve_with, Algorithm, SelectParams, SolveOptions,
 };
 use comparesets_data::CategoryPreset;
 use comparesets_graph::{
@@ -109,7 +109,12 @@ pub fn run(cfg: &EvalConfig) -> Ablation {
     let mut sweep_objectives = [0.0f64; 3];
     for inst in &instances {
         for (si, sweeps) in [1usize, 2, 3].into_iter().enumerate() {
-            let sels = solve_comparesets_plus_sweeps(&inst.ctx, &sweep_params, sweeps);
+            let sels = solve_comparesets_plus_sweeps_with(
+                &inst.ctx,
+                &sweep_params,
+                sweeps,
+                &SolveOptions::default(),
+            );
             sweep_objectives[si] +=
                 comparesets_plus_objective(&inst.ctx, &sels, sweep_params.lambda, sweep_params.mu);
         }
@@ -185,7 +190,7 @@ fn run_once(
     params: &SelectParams,
     seed: u64,
 ) -> Vec<comparesets_core::Selection> {
-    solve(&inst.ctx, alg, params, seed)
+    solve_with(&inst.ctx, alg, params, seed, &SolveOptions::default())
 }
 
 impl Ablation {

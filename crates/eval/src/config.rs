@@ -1,7 +1,7 @@
 //! Experiment configuration.
 //!
 //! The paper's corpora hold 10k–23k products; every target product is an
-//! independent instance, solved in parallel (§4.1.1). The harness defaults
+//! independent instance (§4.1.1), solved one after another. The harness defaults
 //! to a laptop-scale slice — a few hundred products per category and a
 //! bounded sample of instances — which preserves every comparison the
 //! paper draws. Scale up with [`EvalConfig::scaled`] or the
@@ -33,10 +33,11 @@ pub struct EvalConfig {
     pub scheme: OpinionScheme,
     /// Exact-solver time limit in milliseconds (paper: 60 000).
     pub exact_time_limit_ms: u64,
-    /// Solver execution options shared by every experiment solve:
-    /// within-instance parallelism plus the optional metrics collector
-    /// (`run_suite` installs a fresh collector per experiment). Results
-    /// are identical for every value — see `SolveOptions`.
+    /// Solver execution options shared by every experiment solve: warm
+    /// starts, matrix backend, the optional cancellation token and the
+    /// optional metrics collector (`run_suite` installs a fresh collector
+    /// per experiment). Results are identical for every value whose token
+    /// never fires — see `SolveOptions`.
     pub solve_options: SolveOptions,
 }
 

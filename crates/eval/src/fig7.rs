@@ -6,7 +6,7 @@
 //! paper's shape: CRS and CompaReSetS stay near-flat; CompaReSetS+ grows
 //! roughly linearly in n.
 
-use comparesets_core::{solve, Algorithm, InstanceContext, SelectParams};
+use comparesets_core::{solve_with, Algorithm, InstanceContext, SelectParams, SolveOptions};
 use comparesets_data::CategoryPreset;
 use std::time::Instant;
 
@@ -71,7 +71,13 @@ pub fn run(cfg: &EvalConfig) -> Fig7 {
                                 let truncated = inst.truncated(n_comp);
                                 let ctx = InstanceContext::build(&dataset, &truncated, cfg.scheme);
                                 let start = Instant::now();
-                                let _ = solve(&ctx, alg, &params, cfg.seed);
+                                let _ = solve_with(
+                                    &ctx,
+                                    alg,
+                                    &params,
+                                    cfg.seed,
+                                    &SolveOptions::default(),
+                                );
                                 total += start.elapsed().as_secs_f64() * 1000.0;
                                 count += 1;
                             }

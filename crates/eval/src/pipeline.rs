@@ -5,7 +5,6 @@ use comparesets_core::{
 };
 use comparesets_data::{CategoryPreset, Dataset};
 use comparesets_text::tokenize;
-use rayon::prelude::*;
 
 use crate::config::EvalConfig;
 
@@ -61,16 +60,14 @@ pub fn prepare_instances(dataset: &Dataset, cfg: &EvalConfig) -> Vec<PreparedIns
         .collect()
 }
 
-/// Run one algorithm over all prepared instances (in parallel). The
-/// random baseline derives a per-instance seed for reproducibility.
+/// Run one algorithm over all prepared instances, in order. The random
+/// baseline derives a per-instance seed for reproducibility.
 pub fn run_algorithm(
     instances: &[PreparedInstance],
     algorithm: Algorithm,
     params: &SelectParams,
     seed: u64,
 ) -> Vec<Vec<Selection>> {
-    // Instances already fan out over the pool here, so each per-instance
-    // solve stays sequential — one level of parallelism, no oversubscription.
     run_algorithm_opts(instances, algorithm, params, seed, &SolveOptions::default())
 }
 
@@ -86,10 +83,9 @@ pub fn run_algorithm_cfg(
     run_algorithm_opts(instances, algorithm, params, cfg.seed, &cfg.solve_options)
 }
 
-/// [`run_algorithm`] with solver execution options. Instance-level fan-out
-/// always runs on rayon; `opts` additionally controls the within-instance
-/// per-item parallelism of the regression solvers. Results are identical
-/// for every options value (both fan-outs collect in input order).
+/// [`run_algorithm`] with solver execution options. Instances are solved
+/// one after another on the calling thread; results are identical for
+/// every options value whose token never fires.
 pub fn run_algorithm_opts(
     instances: &[PreparedInstance],
     algorithm: Algorithm,
@@ -98,7 +94,7 @@ pub fn run_algorithm_opts(
     opts: &SolveOptions,
 ) -> Vec<Vec<Selection>> {
     instances
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(idx, inst)| {
             solve_with(

@@ -1,17 +1,14 @@
-//! Scalability experiment (§4.1.1's parallelism claim).
+//! Scalability experiment (§4.1.1's independence claim).
 //!
 //! "Solving multiple target items can be done in parallel. A larger
 //! dataset … does not necessarily mean that the problem is more difficult
 //! to solve, as we apply our solution to every problem instance, not the
-//! whole dataset at once." This experiment quantifies both halves:
-//!
-//! * throughput (instances/second of the full CompaReSetS+ pipeline) at
-//!   growing corpus sizes — per-instance cost must stay flat;
-//! * the parallel speedup from solving instances concurrently with rayon
-//!   (≈ min(cores, instances); on a single-core machine this is ≈ 1.0 by
-//!   construction — the experiment reports whatever the host provides).
+//! whole dataset at once." This experiment measures the second half:
+//! the per-instance cost of the full CompaReSetS+ pipeline at growing
+//! corpus sizes, which must stay flat. Instances are solved sequentially;
+//! the repository does not fan them out over threads.
 
-use comparesets_core::{solve_comparesets_plus, SelectParams};
+use comparesets_core::{solve_with, Algorithm, SelectParams, SolveOptions};
 use comparesets_data::CategoryPreset;
 use std::time::Instant;
 
@@ -29,10 +26,8 @@ pub struct ScalingRow {
     pub products: usize,
     /// Instances solved.
     pub instances: usize,
-    /// Mean per-instance solve time (ms), sequential.
+    /// Mean per-instance solve time (ms).
     pub ms_per_instance: f64,
-    /// Wall-clock speedup of the rayon-parallel run over sequential.
-    pub parallel_speedup: f64,
 }
 
 /// Results of the sweep.
@@ -60,30 +55,17 @@ pub fn run(cfg: &EvalConfig) -> Scaling {
             let dataset = dataset_for(CategoryPreset::Cellphone, &size_cfg);
             let instances = prepare_instances(&dataset, &size_cfg);
 
-            // Sequential pass.
+            let opts = SolveOptions::default();
             let start = Instant::now();
             for inst in &instances {
-                let _ = solve_comparesets_plus(&inst.ctx, &params);
+                let _ = solve_with(&inst.ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
             }
-            let sequential = start.elapsed().as_secs_f64();
-
-            // Parallel pass (rayon default pool).
-            use rayon::prelude::*;
-            let start = Instant::now();
-            instances.par_iter().for_each(|inst| {
-                let _ = solve_comparesets_plus(&inst.ctx, &params);
-            });
-            let parallel = start.elapsed().as_secs_f64();
+            let elapsed = start.elapsed().as_secs_f64();
 
             ScalingRow {
                 products,
                 instances: instances.len(),
-                ms_per_instance: sequential * 1000.0 / instances.len().max(1) as f64,
-                parallel_speedup: if parallel > 0.0 {
-                    sequential / parallel
-                } else {
-                    1.0
-                },
+                ms_per_instance: elapsed * 1000.0 / instances.len().max(1) as f64,
             }
         })
         .collect();
@@ -93,18 +75,12 @@ pub fn run(cfg: &EvalConfig) -> Scaling {
 impl Scaling {
     /// Render the sweep table.
     pub fn render(&self) -> String {
-        let mut t = Table::new([
-            "#Products",
-            "#Instances",
-            "ms/instance (sequential)",
-            "parallel speedup",
-        ]);
+        let mut t = Table::new(["#Products", "#Instances", "ms/instance"]);
         for r in &self.rows {
             t.row([
                 r.products.to_string(),
                 r.instances.to_string(),
                 format!("{:.2}", r.ms_per_instance),
-                format!("{:.2}x", r.parallel_speedup),
             ]);
         }
         format!(

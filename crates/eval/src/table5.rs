@@ -12,7 +12,6 @@ use comparesets_data::CategoryPreset;
 use comparesets_graph::{
     solve_exact, solve_greedy, solve_random_k, ExactOptions, SimilarityGraph, SolveStatus,
 };
-use rayon::prelude::*;
 use std::time::Duration;
 
 use crate::config::EvalConfig;
@@ -80,7 +79,7 @@ pub fn run(cfg: &EvalConfig) -> Table5 {
             options.cancel = cfg.solve_options.cancel.clone();
             options.metrics = cfg.solve_options.metrics.clone();
             let results: Vec<(f64, f64, f64, bool)> = work
-                .par_iter()
+                .iter()
                 .map(|(idx, graph)| {
                     let exact = solve_exact(graph, 0, k, &options);
                     let greedy = solve_greedy(graph, 0, k);

@@ -29,12 +29,11 @@
 //!   subproblems (subtrees above [`ExactOptions::spawn_depth`] become
 //!   frontier tasks, deeper subtrees run as sequential DFS inside a task
 //!   to bound scheduling overhead) with a CAS-improved atomic incumbent.
-//!   The vendored rayon stand-in executes sequentially, so the B&B
-//!   manages its own scoped `std::thread` workers — the same discipline
-//!   `comparesets-serve` uses for connections. Sequential and parallel
-//!   runs prove the same optimum; on timeout the frontier's surviving
-//!   bounds yield a much tighter anytime gap than the sequential root
-//!   bound (ARCHITECTURE.md §3).
+//!   The B&B manages its own scoped `std::thread` workers — the same
+//!   discipline `comparesets-serve` uses for connections. Sequential and
+//!   parallel runs prove the same optimum; on timeout the frontier's
+//!   surviving bounds yield a much tighter anytime gap than the
+//!   sequential root bound (ARCHITECTURE.md §3).
 
 use crate::greedy::solve_greedy;
 use crate::similarity::SimilarityGraph;

@@ -164,7 +164,9 @@ pub(crate) mod fixtures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comparesets_core::{solve_comparesets_plus, InstanceContext, OpinionScheme, SelectParams};
+    use comparesets_core::{
+        solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+    };
     use comparesets_data::CategoryPreset;
 
     #[test]
@@ -232,7 +234,8 @@ mod tests {
         let inst = ds.instances().into_iter().next().unwrap().truncated(5);
         let ctx = InstanceContext::build(&ds, &inst, OpinionScheme::Binary);
         let params = SelectParams::default();
-        let sels = solve_comparesets_plus(&ctx, &params);
+        let opts = SolveOptions::default();
+        let sels = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
         let g = SimilarityGraph::from_selections(&ctx, &sels, params.lambda, params.mu);
         assert_eq!(g.len(), ctx.num_items());
         for i in 0..g.len() {

@@ -11,7 +11,9 @@
 //! subtrees that contain no strict improvement, so the incumbent
 //! trajectory — and therefore the result — must be unchanged.
 
-use comparesets_core::{solve_comparesets_plus, InstanceContext, OpinionScheme, SelectParams};
+use comparesets_core::{
+    solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+};
 use comparesets_data::CategoryPreset;
 use comparesets_graph::{solve_exact, solve_greedy, ExactOptions, SimilarityGraph, SolveStatus};
 use comparesets_obs::CancelToken;
@@ -288,7 +290,13 @@ fn no_token_run_is_bit_identical_to_the_reference_solver() {
             if ctx.num_items() < 5 {
                 continue;
             }
-            let sels = solve_comparesets_plus(&ctx, &params);
+            let sels = solve_with(
+                &ctx,
+                Algorithm::CompareSetsPlus,
+                &params,
+                0,
+                &SolveOptions::default(),
+            );
             let g = SimilarityGraph::from_selections(&ctx, &sels, params.lambda, params.mu);
             for k in [3, 4] {
                 let (ref_vertices, ref_weight) = reference_solve(&g, 0, k);

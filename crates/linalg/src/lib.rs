@@ -13,12 +13,14 @@
 //!   including [`cholesky::solve_gram_system`] for callers that maintain
 //!   the Gram matrix themselves.
 //! * [`mod@nnls`] — Lawson–Hanson non-negative least squares, in design space
-//!   ([`nnls::nnls`]) and in normal-equation space ([`nnls::nnls_gram`]).
+//!   ([`nnls::nnls_capped`]) and in normal-equation space ([`nnls::nnls_gram`]).
 //! * [`mod@nomp`] — non-negative orthogonal matching pursuit, the continuous
 //!   relaxation solver referenced as `NOMP` in Algorithm 1 of the paper.
-//!   The engine caches the active-set Gram matrix incrementally and can
-//!   return the whole budget path ℓ = 1…m from a single pursuit
-//!   ([`nomp::nomp_path`]).
+//!   The engine caches the active-set Gram matrix incrementally and
+//!   returns the whole budget path ℓ = 1…m from a single pursuit
+//!   ([`nomp::nomp_path`]); [`nomp::nomp_path_warm`] re-solves the same
+//!   matrix from a validated cross-call cache, and [`nomp::nomp_reference`]
+//!   is the straightforward oracle both are tested against.
 //! * [`vector`] — free functions on `&[f64]` slices (dot products, norms,
 //!   the squared-Euclidean distance Δ of Equation 2, cosine similarity).
 //!
@@ -46,14 +48,9 @@ pub mod vector;
 pub use cholesky::{solve_gram_system, solve_gram_system_with};
 pub use error::{LinalgError, SolveError};
 pub use matrix::Matrix;
-pub use nnls::{
-    nnls, nnls_capped, nnls_gram, nnls_gram_capped, nnls_gram_capped_ctl, nnls_gram_capped_with,
-    NnlsDiagnostics,
-};
+pub use nnls::{nnls_capped, nnls_gram, NnlsDiagnostics};
 pub use nomp::{
-    nomp, nomp_path, nomp_path_ctl, nomp_path_metered, nomp_path_warm, nomp_path_with,
-    nomp_reference, nomp_with, with_pooled_workspace, NompOptions, NompResult, NompWorkspace,
-    WarmState,
+    nomp_path, nomp_path_warm, nomp_reference, NompOptions, NompResult, NompWorkspace, WarmState,
 };
 pub use qr::lstsq;
 pub use sparse::{CscMatrix, DesignMatrix};

@@ -7,8 +7,9 @@
 //!
 //! Two entry points share the active-set logic:
 //!
-//! * [`nnls`] works in design space: `min ‖A x − b‖₂, x ≥ 0`, solving each
-//!   passive-set refit through the normal equations of the sub-matrix.
+//! * [`nnls_capped`] works in design space: `min ‖A x − b‖₂, x ≥ 0`,
+//!   solving each passive-set refit through the normal equations of the
+//!   sub-matrix. It backs the `nomp_reference` oracle.
 //! * [`nnls_gram`] works in normal-equation space: it takes the Gram
 //!   matrix `G = AᵀA` and `Aᵀb` directly, which is what the Gram-caching
 //!   NOMP engine maintains incrementally — the refit never has to touch
@@ -17,17 +18,19 @@
 //! Both return the same minimiser up to floating-point reassociation:
 //!
 //! ```
-//! use comparesets_linalg::{nnls, nnls_gram, DesignMatrix, Matrix};
+//! use comparesets_linalg::{nnls_capped, nnls_gram, DesignMatrix, Matrix};
+//! use comparesets_obs::SolveCtl;
 //!
 //! let a = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
 //! let b = [2.0, 1.0, 1.5];
 //!
-//! let x_design = nnls(&a, &b).unwrap();
+//! let (x_design, diag) = nnls_capped(&a, &b).unwrap();
+//! assert!(diag.converged);
 //!
 //! // Hand nnls_gram the same system in normal-equation form.
 //! let g = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]).unwrap(); // AᵀA
 //! let atb = DesignMatrix::tr_matvec(&a, &b).unwrap(); // Aᵀb
-//! let x_gram = nnls_gram(&g, &atb).unwrap();
+//! let (x_gram, _) = nnls_gram(&g, &atb, SolveCtl::default()).unwrap();
 //!
 //! for (d, g) in x_design.iter().zip(x_gram.iter()) {
 //!     assert!((d - g).abs() < 1e-10);
@@ -41,17 +44,17 @@ use crate::vector;
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
 /// Row-range width of the cache-blocked dual refresh in
-/// [`nnls_gram_capped_ctl`]. A multiple of [`vector::SIMD_LANES`], so the
+/// [`nnls_gram`]. A multiple of [`vector::SIMD_LANES`], so the
 /// per-block chunked axpys execute exactly `⌊n/4⌋` full 4-lane blocks per
 /// passive column in total (only the final range can have a scalar tail),
 /// and small enough that one `gx` range plus the touched Gram rows stay
 /// resident in L1/L2 across the whole passive set.
 const NNLS_REFRESH_BLOCK: usize = 512;
 
-/// Convergence diagnostic returned by the capped NNLS entry points.
+/// Convergence diagnostic returned by both NNLS entry points.
 ///
 /// The active-set loop has a hard iteration budget (`3 × cols + 10` outer
-/// iterations). The capped variants never fail on exhaustion — they return
+/// iterations). Neither entry point fails on exhaustion — they return
 /// the best feasible iterate reached so far together with this record, so
 /// callers on the solve path (the NOMP refit in particular) can degrade
 /// gracefully instead of aborting an item.
@@ -64,31 +67,9 @@ pub struct NnlsDiagnostics {
 }
 
 /// Solve `min ‖A x − b‖₂  s.t.  x ≥ 0` with the Lawson–Hanson active-set
-/// method.
-///
-/// Returns the solution vector (length `a.cols()`).
-///
-/// # Errors
-/// Shape errors propagate; [`LinalgError::NonFinite`] on NaN/Inf input;
-/// [`LinalgError::NoConvergence`] if the active-set loop exceeds its
-/// iteration budget (3 × cols outer iterations, which in practice is never
-/// reached on the selection problems this crate serves). Use
-/// [`nnls_capped`] to receive the best feasible iterate instead of the
-/// convergence error.
-pub fn nnls(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let (x, diag) = nnls_capped(a, b)?;
-    if diag.converged {
-        Ok(x)
-    } else {
-        Err(LinalgError::NoConvergence {
-            iterations: diag.iterations,
-        })
-    }
-}
-
-/// [`nnls`] with a hard iteration cap instead of a convergence failure:
-/// when the budget is exhausted the current (always feasible, `x ≥ 0`)
-/// iterate is returned together with a [`NnlsDiagnostics`] record.
+/// method, under a hard iteration cap: when the budget is exhausted the
+/// current (always feasible, `x ≥ 0`) iterate is returned together with a
+/// [`NnlsDiagnostics`] record.
 ///
 /// # Errors
 /// Shape errors and [`LinalgError::NonFinite`] on NaN/Inf input; never
@@ -113,193 +94,51 @@ pub fn nnls_capped(a: &Matrix, b: &[f64]) -> Result<(Vec<f64>, NnlsDiagnostics),
             context: "nnls rhs",
         });
     }
-    if n == 0 {
-        return Ok((
-            Vec::new(),
-            NnlsDiagnostics {
-                converged: true,
-                iterations: 0,
-            },
-        ));
-    }
-
-    let mut x = vec![0.0_f64; n];
-    let mut passive: Vec<bool> = vec![false; n];
-    // w = A^T (b - A x); with x = 0 initially, w = A^T b.
+    // w = Aᵀ(b − A x); with x = 0 initially, w = Aᵀb.
+    let w = a.tr_matvec(b)?;
     let mut residual = b.to_vec();
-    let mut w = a.tr_matvec(&residual)?;
-
-    let atb_norm = vector::norm2(&w).max(1.0);
-    let tol = 1e-10 * atb_norm;
-
-    let max_outer = 3 * n + 10;
-    let mut outer = 0;
-    loop {
-        outer += 1;
-        if outer > max_outer {
-            // Iteration budget exhausted: x is feasible (every accepted
-            // step kept x ≥ 0), so hand it back with the diagnostic.
-            return Ok((
-                x,
-                NnlsDiagnostics {
-                    converged: false,
-                    iterations: outer,
-                },
-            ));
-        }
-        // Pick the most violated dual coordinate among the active (zero) set.
-        let mut best_j = None;
-        let mut best_w = tol;
-        for j in 0..n {
-            if !passive[j] && w[j] > best_w {
-                best_w = w[j];
-                best_j = Some(j);
+    lawson_hanson(
+        n,
+        w,
+        || false,
+        |passive_idx| solve_normal_equations(&a.select_columns(passive_idx), b),
+        |x, w| {
+            residual.copy_from_slice(b);
+            let ax = a.matvec(x)?;
+            for (r, v) in residual.iter_mut().zip(ax.iter()) {
+                *r -= v;
             }
-        }
-        let Some(j_star) = best_j else {
-            // KKT satisfied: all duals ≤ tol.
-            return Ok((
-                x,
-                NnlsDiagnostics {
-                    converged: true,
-                    iterations: outer,
-                },
-            ));
-        };
-        passive[j_star] = true;
-
-        // Inner loop: solve unconstrained LS on the passive set, clip.
-        loop {
-            let passive_idx: Vec<usize> = (0..n).filter(|&j| passive[j]).collect();
-            let sub = a.select_columns(&passive_idx);
-            let z_sub = solve_normal_equations(&sub, b)?;
-
-            if z_sub.iter().all(|&v| v > 0.0) {
-                // Accept.
-                x.iter_mut().for_each(|v| *v = 0.0);
-                for (zi, &j) in z_sub.iter().zip(passive_idx.iter()) {
-                    x[j] = *zi;
-                }
-                break;
-            }
-            // Step toward z as far as feasibility allows; move blockers out.
-            let mut alpha = f64::INFINITY;
-            for (zi, &j) in z_sub.iter().zip(passive_idx.iter()) {
-                if *zi <= 0.0 {
-                    let denom = x[j] - zi;
-                    if denom > 0.0 {
-                        alpha = alpha.min(x[j] / denom);
-                    }
-                }
-            }
-            if !alpha.is_finite() {
-                alpha = 0.0;
-            }
-            for (zi, &j) in z_sub.iter().zip(passive_idx.iter()) {
-                x[j] += alpha * (zi - x[j]);
-                if x[j] <= 1e-14 {
-                    x[j] = 0.0;
-                    passive[j] = false;
-                }
-            }
-            // Guarantee progress: if the entering column got clipped right
-            // back out, treat it as converged at the current x.
-            if !passive[j_star] && x[j_star] == 0.0 && alpha == 0.0 {
-                return Ok((
-                    x,
-                    NnlsDiagnostics {
-                        converged: true,
-                        iterations: outer,
-                    },
-                ));
-            }
-        }
-
-        // Refresh the dual.
-        residual.copy_from_slice(b);
-        let ax = a.matvec(&x)?;
-        for (r, v) in residual.iter_mut().zip(ax.iter()) {
-            *r -= v;
-        }
-        w = a.tr_matvec(&residual)?;
-    }
+            *w = a.tr_matvec(&residual)?;
+            Ok(())
+        },
+    )
 }
 
 /// Solve `min ‖A x − b‖₂  s.t.  x ≥ 0` given only the Gram matrix
 /// `g = AᵀA` and the correlation vector `atb = Aᵀb`.
 ///
-/// This is [`nnls`] transported into normal-equation space: the dual is
-/// `w = Aᵀ(b − A x) = atb − G x`, and the passive-set refits solve
+/// This is [`nnls_capped`] transported into normal-equation space: the
+/// dual is `w = Aᵀ(b − A x) = atb − G x`, and the passive-set refits solve
 /// principal subsystems of `G` directly, so no operation ever touches the
 /// (potentially very tall) design matrix. NOMP maintains `G` and `atb`
 /// incrementally across pursuit iterations and calls this for every refit;
-/// see [`mod@crate::nomp`].
+/// see [`mod@crate::nomp`]. The returned minimiser is the same as
+/// `nnls_capped(A, b)` up to floating-point reassociation.
 ///
-/// The returned minimiser is the same as `nnls(A, b)` up to floating-point
-/// reassociation (the normal equations are formed once here instead of per
-/// inner iteration).
-///
-/// # Errors
-/// [`LinalgError::DimensionMismatch`] when `g` is not square or `atb` has
-/// the wrong length; [`LinalgError::NonFinite`] on NaN/Inf input;
-/// [`LinalgError::NoConvergence`] if the active-set loop exceeds its
-/// `3 × cols` iteration budget. Use [`nnls_gram_capped`] to receive the
-/// best feasible iterate instead of the convergence error.
-pub fn nnls_gram(g: &Matrix, atb: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let (x, diag) = nnls_gram_capped(g, atb)?;
-    if diag.converged {
-        Ok(x)
-    } else {
-        Err(LinalgError::NoConvergence {
-            iterations: diag.iterations,
-        })
-    }
-}
-
-/// [`nnls_gram`] with a hard iteration cap instead of a convergence
-/// failure: when the budget is exhausted the current (always feasible,
-/// `x ≥ 0`) iterate is returned together with a [`NnlsDiagnostics`]
-/// record. The NOMP refit uses this so a slow-to-converge active set
-/// degrades the fit quality of one pursuit step instead of aborting the
-/// whole item.
+/// Like [`nnls_capped`] this never fails on iteration exhaustion: the
+/// current feasible iterate comes back with `converged: false`, so a
+/// slow-to-converge active set degrades the fit quality of one pursuit
+/// step instead of aborting the whole item. `ctl` carries the optional
+/// metrics collector (passive-set refits route through the metered Gram
+/// solver, so degradation-ladder activations are attributed to the run)
+/// and the optional cancellation token, polled once per outer
+/// Lawson–Hanson iteration; a fired token takes the same exit as the
+/// iteration cap.
 ///
 /// # Errors
 /// Shape errors and [`LinalgError::NonFinite`] on NaN/Inf input; never
 /// [`LinalgError::NoConvergence`].
-pub fn nnls_gram_capped(
-    g: &Matrix,
-    atb: &[f64],
-) -> Result<(Vec<f64>, NnlsDiagnostics), LinalgError> {
-    nnls_gram_capped_with(g, atb, None)
-}
-
-/// [`nnls_gram_capped`] with an optional metrics collector: passive-set
-/// refits route through the metered Gram solver so degradation-ladder
-/// activations inside NNLS are attributed to the run. With `None` this is
-/// exactly the unmetered path.
-///
-/// # Errors
-/// Shape errors and [`LinalgError::NonFinite`] on NaN/Inf input; never
-/// [`LinalgError::NoConvergence`].
-pub fn nnls_gram_capped_with(
-    g: &Matrix,
-    atb: &[f64],
-    metrics: Option<&SolverMetrics>,
-) -> Result<(Vec<f64>, NnlsDiagnostics), LinalgError> {
-    nnls_gram_capped_ctl(g, atb, SolveCtl::metered(metrics))
-}
-
-/// [`nnls_gram_capped_with`] with a full [`SolveCtl`] handle: in addition
-/// to metrics attribution, a cancellation token (if present) is polled
-/// once per outer Lawson–Hanson iteration. A fired token takes the same
-/// exit as the iteration cap — the current feasible iterate is returned
-/// with `converged: false` — so cancellation degrades one refit instead of
-/// erroring. Without a token this is exactly [`nnls_gram_capped_with`].
-///
-/// # Errors
-/// Shape errors and [`LinalgError::NonFinite`] on NaN/Inf input; never
-/// [`LinalgError::NoConvergence`].
-pub fn nnls_gram_capped_ctl(
+pub fn nnls_gram(
     g: &Matrix,
     atb: &[f64],
     ctl: SolveCtl<'_>,
@@ -330,49 +169,100 @@ pub fn nnls_gram_capped_ctl(
             context: "nnls_gram rhs",
         });
     }
-    if n == 0 {
-        return Ok((
-            Vec::new(),
-            NnlsDiagnostics {
-                converged: true,
-                iterations: 0,
-            },
-        ));
-    }
+    // w = Aᵀ(b − A x); with x = 0 initially, w = Aᵀb.
+    lawson_hanson(
+        n,
+        atb.to_vec(),
+        || ctl.is_cancelled(),
+        |passive_idx| {
+            // The principal subsystem of G on the passive set.
+            let p = passive_idx.len();
+            let mut g_sub = Matrix::zeros(p, p);
+            for (ri, &i) in passive_idx.iter().enumerate() {
+                for (ci, &j) in passive_idx.iter().enumerate() {
+                    g_sub[(ri, ci)] = g[(i, j)];
+                }
+            }
+            let rhs: Vec<f64> = passive_idx.iter().map(|&j| atb[j]).collect();
+            solve_gram_system_with(&g_sub, &rhs, metrics)
+        },
+        |x, w| {
+            // w = atb − G x. `x` is non-zero only on the passive set (p ≪ n
+            // after pruning), and `G = AᵀA` is symmetric by this function's
+            // contract, so column `j` of `G` is row `j` — a contiguous slice
+            // the chunked axpy kernel can stream. The update is blocked over
+            // row ranges so one `gx` range stays cache-resident across the
+            // whole passive set. Bit-exactness versus the naive per-row dot:
+            // for each element `i` the products arrive in the same
+            // `j`-ascending order (`g[j][i]·x[j] == g[i][j]·x[j]` bitwise by
+            // symmetry and commutativity), and the skipped `x[j] == 0` terms
+            // are exact no-ops — a +0-seeded f64 accumulator never becomes
+            // −0.0, so dropping ±0 additions changes nothing.
+            let mut gx = vec![0.0_f64; n];
+            let mut start = 0;
+            while start < n {
+                let end = (start + NNLS_REFRESH_BLOCK).min(n);
+                for (j, &xj) in x.iter().enumerate() {
+                    if xj == 0.0 {
+                        continue;
+                    }
+                    vector::axpy(xj, &g.row(j)[start..end], &mut gx[start..end]);
+                }
+                start = end;
+            }
+            if let Some(mm) = metrics {
+                // Every block except the last is a multiple of 4 wide, so
+                // the chunked axpys run exactly ⌊n/4⌋ full lanes-blocks per
+                // passive column.
+                let nzx = x.iter().filter(|v| **v != 0.0).count() as u64;
+                SolverMetrics::add(&mm.simd_blocks, nzx * vector::simd_block_count(n));
+            }
+            for (wi, (&ai, &gi)) in w.iter_mut().zip(atb.iter().zip(gx.iter())) {
+                *wi = ai - gi;
+            }
+            Ok(())
+        },
+    )
+}
 
+/// The Lawson–Hanson active-set loop both entry points share, over `n`
+/// variables starting from the dual `w = Aᵀb`. `solve_passive(idx)`
+/// solves the unconstrained least-squares problem restricted to the
+/// passive columns `idx`; `dual(x, w)` recomputes `w = Aᵀ(b − A x)`.
+/// `cancelled()` is polled before every outer iteration: a true answer
+/// takes the same exit as the iteration cap — the current `x` is feasible
+/// (every accepted step kept `x ≥ 0`), so it comes back unconverged.
+fn lawson_hanson(
+    n: usize,
+    mut w: Vec<f64>,
+    mut cancelled: impl FnMut() -> bool,
+    mut solve_passive: impl FnMut(&[usize]) -> Result<Vec<f64>, LinalgError>,
+    mut dual: impl FnMut(&[f64], &mut Vec<f64>) -> Result<(), LinalgError>,
+) -> Result<(Vec<f64>, NnlsDiagnostics), LinalgError> {
+    let done = |x: Vec<f64>, converged: bool, iterations: usize| {
+        Ok((
+            x,
+            NnlsDiagnostics {
+                converged,
+                iterations,
+            },
+        ))
+    };
+    if n == 0 {
+        return done(Vec::new(), true, 0);
+    }
     let mut x = vec![0.0_f64; n];
     let mut passive: Vec<bool> = vec![false; n];
-    // w = Aᵀ(b − A x); with x = 0 initially, w = Aᵀb.
-    let mut w = atb.to_vec();
-
-    let atb_norm = vector::norm2(&w).max(1.0);
-    let tol = 1e-10 * atb_norm;
-
+    let tol = 1e-10 * vector::norm2(&w).max(1.0);
     let max_outer = 3 * n + 10;
     let mut outer = 0;
     loop {
-        if ctl.is_cancelled() {
-            // Cooperative stop: same contract as the iteration cap — the
-            // current x is feasible, hand it back unconverged.
-            return Ok((
-                x,
-                NnlsDiagnostics {
-                    converged: false,
-                    iterations: outer,
-                },
-            ));
+        if cancelled() {
+            return done(x, false, outer);
         }
         outer += 1;
         if outer > max_outer {
-            // Iteration budget exhausted: x is feasible (every accepted
-            // step kept x ≥ 0), so hand it back with the diagnostic.
-            return Ok((
-                x,
-                NnlsDiagnostics {
-                    converged: false,
-                    iterations: outer,
-                },
-            ));
+            return done(x, false, outer);
         }
         // Pick the most violated dual coordinate among the active (zero) set.
         let mut best_j = None;
@@ -385,28 +275,14 @@ pub fn nnls_gram_capped_ctl(
         }
         let Some(j_star) = best_j else {
             // KKT satisfied: all duals ≤ tol.
-            return Ok((
-                x,
-                NnlsDiagnostics {
-                    converged: true,
-                    iterations: outer,
-                },
-            ));
+            return done(x, true, outer);
         };
         passive[j_star] = true;
 
-        // Inner loop: solve the principal subsystem on the passive set, clip.
+        // Inner loop: solve unconstrained LS on the passive set, clip.
         loop {
             let passive_idx: Vec<usize> = (0..n).filter(|&j| passive[j]).collect();
-            let p = passive_idx.len();
-            let mut g_sub = Matrix::zeros(p, p);
-            for (ri, &i) in passive_idx.iter().enumerate() {
-                for (ci, &j) in passive_idx.iter().enumerate() {
-                    g_sub[(ri, ci)] = g[(i, j)];
-                }
-            }
-            let rhs: Vec<f64> = passive_idx.iter().map(|&j| atb[j]).collect();
-            let z_sub = solve_gram_system_with(&g_sub, &rhs, metrics)?;
+            let z_sub = solve_passive(&passive_idx)?;
 
             if z_sub.iter().all(|&v| v > 0.0) {
                 // Accept.
@@ -439,55 +315,31 @@ pub fn nnls_gram_capped_ctl(
             // Guarantee progress: if the entering column got clipped right
             // back out, treat it as converged at the current x.
             if !passive[j_star] && x[j_star] == 0.0 && alpha == 0.0 {
-                return Ok((
-                    x,
-                    NnlsDiagnostics {
-                        converged: true,
-                        iterations: outer,
-                    },
-                ));
+                return done(x, true, outer);
             }
         }
 
-        // Refresh the dual: w = atb − G x. `x` is non-zero only on the
-        // passive set (p ≪ n after pruning), and `G = AᵀA` is symmetric by
-        // this function's contract, so column `j` of `G` is row `j` — a
-        // contiguous slice the chunked axpy kernel can stream. The update
-        // is blocked over row ranges so one `gx` range stays cache-resident
-        // across the whole passive set. Bit-exactness versus the naive
-        // per-row dot: for each element `i` the products arrive in the same
-        // `j`-ascending order (`g[j][i]·x[j] == g[i][j]·x[j]` bitwise by
-        // symmetry and commutativity), and the skipped `x[j] == 0` terms
-        // are exact no-ops — a +0-seeded f64 accumulator never becomes
-        // −0.0, so dropping ±0 additions changes nothing.
-        let mut gx = vec![0.0_f64; n];
-        let mut start = 0;
-        while start < n {
-            let end = (start + NNLS_REFRESH_BLOCK).min(n);
-            for (j, &xj) in x.iter().enumerate() {
-                if xj == 0.0 {
-                    continue;
-                }
-                vector::axpy(xj, &g.row(j)[start..end], &mut gx[start..end]);
-            }
-            start = end;
-        }
-        if let Some(mm) = metrics {
-            // Every block except the last is a multiple of 4 wide, so the
-            // chunked axpys run exactly ⌊n/4⌋ full lanes-blocks per
-            // passive column.
-            let nzx = x.iter().filter(|v| **v != 0.0).count() as u64;
-            SolverMetrics::add(&mm.simd_blocks, nzx * vector::simd_block_count(n));
-        }
-        for (wi, (&ai, &gi)) in w.iter_mut().zip(atb.iter().zip(gx.iter())) {
-            *wi = ai - gi;
-        }
+        dual(&x, &mut w)?;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The converged design-space solution (every instance here converges).
+    fn nnls(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let (x, diag) = nnls_capped(a, b)?;
+        assert!(diag.converged);
+        Ok(x)
+    }
+
+    /// The converged Gram-space solution, unmetered and uncancellable.
+    fn gram(g: &Matrix, atb: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let (x, diag) = nnls_gram(g, atb, SolveCtl::default())?;
+        assert!(diag.converged);
+        Ok(x)
+    }
 
     fn gram_of(a: &Matrix, b: &[f64]) -> (Matrix, Vec<f64>) {
         (a.gram(), a.tr_matvec(b).unwrap())
@@ -584,7 +436,7 @@ mod tests {
         let b = vec![1.0, -0.5, 0.8, 0.2];
         let x_design = nnls(&a, &b).unwrap();
         let (g, atb) = gram_of(&a, &b);
-        let x_gram = nnls_gram(&g, &atb).unwrap();
+        let x_gram = gram(&g, &atb).unwrap();
         for (d, g) in x_design.iter().zip(x_gram.iter()) {
             assert!(
                 (d - g).abs() < 1e-8,
@@ -598,7 +450,7 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 2.0]]).unwrap();
         let b = vec![1.0, 0.0];
         let (g, atb) = gram_of(&a, &b);
-        let x = nnls_gram(&g, &atb).unwrap();
+        let x = gram(&g, &atb).unwrap();
         assert!((x[0] - 0.5).abs() < 1e-8);
         assert_eq!(x[1], 0.0);
     }
@@ -614,7 +466,7 @@ mod tests {
         .unwrap();
         let b = vec![1.0, -0.5, 0.8, 0.2];
         let (g, atb) = gram_of(&a, &b);
-        let x = nnls_gram(&g, &atb).unwrap();
+        let x = gram(&g, &atb).unwrap();
         assert!(x.iter().all(|&v| v >= 0.0));
         let gx = g.matvec(&x).unwrap();
         for (j, ((&xj, &aj), &gj)) in x.iter().zip(atb.iter()).zip(gx.iter()).enumerate() {
@@ -630,15 +482,15 @@ mod tests {
     #[test]
     fn gram_variant_rejects_bad_shapes() {
         let g = Matrix::identity(2);
-        assert!(nnls_gram(&g, &[1.0]).is_err());
+        assert!(gram(&g, &[1.0]).is_err());
         let rect = Matrix::zeros(2, 3);
-        assert!(nnls_gram(&rect, &[1.0, 2.0]).is_err());
+        assert!(gram(&rect, &[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn gram_variant_empty_system() {
         let g = Matrix::zeros(0, 0);
-        assert!(nnls_gram(&g, &[]).unwrap().is_empty());
+        assert!(gram(&g, &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -657,12 +509,12 @@ mod tests {
         let mut g = Matrix::identity(2);
         g[(1, 1)] = f64::NEG_INFINITY;
         assert!(matches!(
-            nnls_gram(&g, &[1.0, 1.0]),
+            gram(&g, &[1.0, 1.0]),
             Err(LinalgError::NonFinite { .. })
         ));
         let g = Matrix::identity(2);
         assert!(matches!(
-            nnls_gram(&g, &[f64::NAN, 1.0]),
+            gram(&g, &[f64::NAN, 1.0]),
             Err(LinalgError::NonFinite { .. })
         ));
     }
@@ -677,8 +529,8 @@ mod tests {
         assert_eq!(x, nnls(&a, &b).unwrap());
 
         let (g, atb) = gram_of(&a, &b);
-        let (xg, diag_g) = nnls_gram_capped(&g, &atb).unwrap();
+        let (xg, diag_g) = nnls_gram(&g, &atb, SolveCtl::default()).unwrap();
         assert!(diag_g.converged);
-        assert_eq!(xg, nnls_gram(&g, &atb).unwrap());
+        assert_eq!(xg, gram(&g, &atb).unwrap());
     }
 }

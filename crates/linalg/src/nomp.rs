@@ -29,9 +29,7 @@
 //!
 //! Scratch buffers (residual, correlations, the cached Gram) live in a
 //! reusable [`NompWorkspace`] so solvers that run many pursuits (one per
-//! item per sweep in CompaReSetS+) allocate once per task;
-//! [`with_pooled_workspace`] keeps one per rayon worker thread so parallel
-//! fan-outs stop allocating a fresh workspace per item.
+//! item per sweep in CompaReSetS+) allocate once per task.
 //!
 //! A third optimisation targets *re-solves of the same design matrix*
 //! (Algorithm 1's alternating sweeps change only the `μφ(S_j)` blocks of
@@ -44,7 +42,8 @@
 //! iteration, with periodic exact recomputes bounding drift.
 //!
 //! ```
-//! use comparesets_linalg::{nomp, nomp_path, Matrix, NompOptions};
+//! use comparesets_linalg::{nomp_path, Matrix, NompOptions, NompWorkspace};
+//! use comparesets_obs::SolveCtl;
 //!
 //! let a = Matrix::from_rows(&[
 //!     vec![1.0, 0.0, 0.6],
@@ -52,26 +51,28 @@
 //! ])
 //! .unwrap();
 //! let b = vec![1.0, 2.0];
+//! let mut ws = NompWorkspace::new();
+//! let ctl = SolveCtl::default();
 //!
 //! // One pursuit, every budget ℓ = 1..=2: path[l-1] is the budget-ℓ result.
-//! let path = nomp_path(&a, &b, NompOptions::with_max_atoms(2)).unwrap();
+//! let path = nomp_path(&a, &b, NompOptions::with_max_atoms(2), &mut ws, ctl).unwrap();
 //! assert_eq!(path.len(), 2);
 //! assert!(path[1].sq_residual <= path[0].sq_residual + 1e-12);
 //!
-//! // Identical to solving each budget separately.
-//! let single = nomp(&a, &b, NompOptions::with_max_atoms(1)).unwrap();
-//! assert_eq!(single.support, path[0].support);
-//! assert_eq!(single.x, path[0].x);
+//! // Identical to a pursuit that stops at budget 1.
+//! let single = nomp_path(&a, &b, NompOptions::with_max_atoms(1), &mut ws, ctl).unwrap();
+//! assert_eq!(single[0].support, path[0].support);
+//! assert_eq!(single[0].x, path[0].x);
 //! ```
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::nnls::{nnls_capped, nnls_gram_capped_ctl};
+use crate::nnls::{nnls_capped, nnls_gram};
 use crate::sparse::DesignMatrix;
 use crate::vector;
 use comparesets_obs::{CancelToken, SolveCtl, SolverMetrics};
 
-/// Tuning knobs for [`nomp`].
+/// Tuning knobs for [`nomp_path`].
 #[derive(Debug, Clone, Copy)]
 pub struct NompOptions {
     /// Maximum number of active atoms (ℓ in Algorithm 1 line 7). For
@@ -159,107 +160,200 @@ impl NompWorkspace {
             sq_residual,
         }
     }
+
+    /// Reset to `a`'s shape and fill the column norms used to normalise
+    /// correlations; zero columns are never selected. A NaN/Inf anywhere
+    /// in a column makes its norm non-finite, so this pass doubles as the
+    /// up-front finiteness scan of the design matrix (which may be sparse
+    /// — scanning norms avoids densifying it).
+    fn reset_norms<M: DesignMatrix>(&mut self, a: &M) -> Result<(), LinalgError> {
+        self.reset(a.rows(), a.cols());
+        for j in 0..a.cols() {
+            a.column_into(j, &mut self.col_buf);
+            self.col_norms[j] = vector::norm2(&self.col_buf);
+        }
+        if !vector::all_finite(&self.col_norms) {
+            return Err(LinalgError::NonFinite {
+                context: "nomp design matrix",
+            });
+        }
+        Ok(())
+    }
+
+    /// Budget checkpoints: every budget whose stopping condition first
+    /// holds at the current state gets a snapshot of it. True once every
+    /// budget has one, which ends the pursuit.
+    fn record_budgets(
+        &self,
+        results: &mut Vec<NompResult>,
+        opts: NompOptions,
+        sq_res: f64,
+        metrics: Option<&SolverMetrics>,
+    ) -> bool {
+        let n = self.x.len();
+        while results.len() < opts.max_atoms {
+            let l = results.len() + 1;
+            if self.support.len() >= l.min(n) || sq_res <= opts.residual_tolerance {
+                if let Some(mm) = metrics {
+                    SolverMetrics::incr(&mm.path_snapshots);
+                }
+                results.push(self.snapshot(sq_res));
+            } else {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Hand every budget not yet recorded the current state: a pursuit
+    /// that stops early stops there at every larger budget too.
+    fn fill_budgets(
+        &self,
+        results: &mut Vec<NompResult>,
+        opts: NompOptions,
+        sq_res: f64,
+        metrics: Option<&SolverMetrics>,
+    ) {
+        while results.len() < opts.max_atoms {
+            if let Some(mm) = metrics {
+                SolverMetrics::incr(&mm.path_snapshots);
+            }
+            results.push(self.snapshot(sq_res));
+        }
+    }
+
+    /// Enter atom `j`: extend the cached Gram by `gram_row` (`G[k][j]` for
+    /// every support atom `k`, then `G[j][j]`) and `Aᵀb` by `atb_j`.
+    fn enter(&mut self, j: usize, gram_row: Vec<f64>, atb_j: f64) {
+        for (row, &g) in self.gram_rows.iter_mut().zip(gram_row.iter()) {
+            row.push(g);
+        }
+        self.gram_rows.push(gram_row);
+        self.atb.push(atb_j);
+        self.support.push(j);
+        self.in_support[j] = true;
+    }
+
+    /// Refit on the active set entirely in Gram space, counting the refit
+    /// into the metrics. The capped NNLS never fails on iteration
+    /// exhaustion: a slow-to-converge refit degrades this step's fit
+    /// (best feasible iterate) instead of aborting the item — the
+    /// improvement check then decides whether pursuit can continue.
+    fn refit(&self, ctl: SolveCtl<'_>) -> Result<Vec<f64>, LinalgError> {
+        let metrics = ctl.metrics;
+        let g = Matrix::from_rows(&self.gram_rows)?;
+        let refit_start = metrics.map(|_| std::time::Instant::now());
+        let (x_sub, diag) = nnls_gram(&g, &self.atb, ctl)?;
+        if let Some(mm) = metrics {
+            if let Some(t) = refit_start {
+                SolverMetrics::add_time(&mm.refit_nanos, t.elapsed());
+            }
+            SolverMetrics::incr(&mm.nnls_refits);
+            SolverMetrics::add(&mm.nnls_iterations, diag.iterations as u64);
+            if !diag.converged {
+                SolverMetrics::incr(&mm.nnls_cap_hits);
+                tracing::warn!(
+                    "nnls refit hit its iteration cap after {} outer iterations",
+                    diag.iterations
+                );
+            }
+        }
+        Ok(x_sub)
+    }
+
+    /// Adopt a refit's active-set solution: write the dense `x`, prune the
+    /// atoms it zeroed and compact the cached normal equations to the
+    /// survivors. Returns whether the entering (last) atom was pruned.
+    fn apply_refit(&mut self, x_sub: &[f64]) -> bool {
+        let pruned_entering = x_sub[self.support.len() - 1] <= 0.0;
+        let mut kept_pos: Vec<usize> = Vec::with_capacity(self.support.len());
+        for (pos, v) in x_sub.iter().enumerate() {
+            if *v > 0.0 {
+                kept_pos.push(pos);
+            } else {
+                self.in_support[self.support[pos]] = false;
+            }
+        }
+        self.x.iter_mut().for_each(|v| *v = 0.0);
+        for (v, &j) in x_sub.iter().zip(self.support.iter()) {
+            if *v > 0.0 {
+                self.x[j] = *v;
+            }
+        }
+        if kept_pos.len() < self.support.len() {
+            self.support = kept_pos.iter().map(|&p| self.support[p]).collect();
+            self.atb = kept_pos.iter().map(|&p| self.atb[p]).collect();
+            self.gram_rows = kept_pos
+                .iter()
+                .map(|&p| kept_pos.iter().map(|&q| self.gram_rows[p][q]).collect())
+                .collect();
+        }
+        pruned_entering
+    }
+
+    /// Recompute the residual `b − A x`; returns its squared norm.
+    fn update_residual<M: DesignMatrix>(&mut self, a: &M, b: &[f64]) -> Result<f64, LinalgError> {
+        self.residual.copy_from_slice(b);
+        let ax = a.matvec(&self.x)?;
+        for (r, v) in self.residual.iter_mut().zip(ax.iter()) {
+            *r -= v;
+        }
+        Ok(vector::dot(&self.residual, &self.residual))
+    }
 }
 
-/// Run non-negative orthogonal matching pursuit for a single budget.
-///
-/// # Errors
-/// [`LinalgError::DimensionMismatch`] when `b.len() != a.rows()`;
-/// [`LinalgError::InvalidArgument`] when `opts.max_atoms == 0`.
-pub fn nomp<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-) -> Result<NompResult, LinalgError> {
-    let mut ws = NompWorkspace::new();
-    nomp_with(a, b, opts, &mut ws)
-}
-
-/// [`nomp`] with caller-provided scratch (see [`NompWorkspace`]).
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_with<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-) -> Result<NompResult, LinalgError> {
-    let mut results = pursuit(a, b, opts, ws, false, SolveCtl::default())?;
-    results.pop().ok_or(LinalgError::InvalidArgument(
-        "nomp: pursuit produced no state",
-    ))
+/// The input checks every pursuit makes before any work.
+fn check_inputs<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<(), LinalgError> {
+    if b.len() != a.rows() {
+        return Err(LinalgError::DimensionMismatch {
+            context: "nomp",
+            expected: a.rows(),
+            actual: b.len(),
+        });
+    }
+    if opts.max_atoms == 0 {
+        return Err(LinalgError::InvalidArgument("nomp: max_atoms must be > 0"));
+    }
+    if !vector::all_finite(b) {
+        return Err(LinalgError::NonFinite {
+            context: "nomp rhs",
+        });
+    }
+    Ok(())
 }
 
 /// Run one shared pursuit and return the results for **every** budget
 /// `ℓ = 1..=opts.max_atoms` (`path[l-1]` is the budget-`l` result).
 ///
 /// Each entry is identical — same support, same coefficients, same
-/// residual — to what `nomp(a, b, opts with max_atoms = l)` would return,
+/// residual — to the last entry of a pursuit run with `max_atoms = l`,
 /// because the pursuit's state evolution does not depend on the budget;
 /// only the stopping point does. Integer-Regression's ℓ-sweep thus costs
 /// one pursuit instead of m.
 ///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-) -> Result<Vec<NompResult>, LinalgError> {
-    let mut ws = NompWorkspace::new();
-    nomp_path_with(a, b, opts, &mut ws)
-}
-
-/// [`nomp_path`] with caller-provided scratch (see [`NompWorkspace`]).
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path_with<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-) -> Result<Vec<NompResult>, LinalgError> {
-    pursuit(a, b, opts, ws, true, SolveCtl::default())
-}
-
-/// [`nomp_path_with`] with an optional metrics collector: the pursuit
-/// counts its iterations, refits, Gram-cache hits, budget snapshots, and
-/// wall time into `metrics`. With `None` this is exactly the unmetered
-/// path — no atomic is touched and no clock is read.
-///
-/// # Errors
-/// As [`nomp`].
-pub fn nomp_path_metered<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-    metrics: Option<&SolverMetrics>,
-) -> Result<Vec<NompResult>, LinalgError> {
-    pursuit(a, b, opts, ws, true, SolveCtl::metered(metrics))
-}
-
-/// [`nomp_path_metered`] with a full [`SolveCtl`] handle: a cancellation
-/// token (if present) is polled once per pursuit iteration and inside
-/// every NNLS refit. A fired token takes the same exit as the pursuit's
-/// "no progress" break — every still-pending budget receives the current
-/// (always feasible) state — so a cancelled pursuit returns `Ok` with its
+/// `ws` is reusable scratch (see [`NompWorkspace`]). `ctl` carries the
+/// optional metrics collector — iterations, refits, Gram-cache hits,
+/// budget snapshots and wall time are counted into it; with none, no
+/// atomic is touched and no clock is read — and the optional cancellation
+/// token, polled once per pursuit iteration and inside every NNLS refit.
+/// A fired token takes the same exit as the pursuit's "no progress"
+/// break — every still-pending budget receives the current (always
+/// feasible) state — so a cancelled pursuit returns `Ok` with its
 /// best-so-far path rather than an error; the caller decides whether that
-/// counts as a deadline failure. Without a token this is exactly
-/// [`nomp_path_metered`].
+/// counts as a deadline failure.
 ///
 /// # Errors
-/// As [`nomp`].
-pub fn nomp_path_ctl<M: DesignMatrix>(
+/// [`LinalgError::DimensionMismatch`] when `b.len() != a.rows()`;
+/// [`LinalgError::InvalidArgument`] when `opts.max_atoms == 0`;
+/// [`LinalgError::NonFinite`] on NaN/Inf in `a` or `b`.
+pub fn nomp_path<M: DesignMatrix>(
     a: &M,
     b: &[f64],
     opts: NompOptions,
     ws: &mut NompWorkspace,
     ctl: SolveCtl<'_>,
 ) -> Result<Vec<NompResult>, LinalgError> {
-    pursuit(a, b, opts, ws, true, ctl)
+    pursuit(a, b, opts, ws, ctl)
 }
 
 /// Count one full correlation scan (`c = Aᵀr`) into `metrics`, classified
@@ -277,9 +371,9 @@ fn count_corr_scan<M: DesignMatrix>(a: &M, residual: &[f64], metrics: Option<&So
     }
 }
 
-/// The shared pursuit engine behind [`nomp`] and [`nomp_path`].
+/// The cold pursuit engine behind [`nomp_path`].
 ///
-/// With `record_path` set, a snapshot for budget `l` is taken at the first
+/// A snapshot for budget `l` is taken at the first
 /// loop-condition check where that budget's stopping condition holds —
 /// `support.len() ≥ min(l, cols)` or the residual floor is reached. This is
 /// exactly where a standalone budget-`l` run exits its loop. Pruning may
@@ -294,28 +388,11 @@ fn pursuit<M: DesignMatrix>(
     b: &[f64],
     opts: NompOptions,
     ws: &mut NompWorkspace,
-    record_path: bool,
     ctl: SolveCtl<'_>,
 ) -> Result<Vec<NompResult>, LinalgError> {
     let metrics = ctl.metrics;
-    let m = a.rows();
-    let n = a.cols();
-    if b.len() != m {
-        return Err(LinalgError::DimensionMismatch {
-            context: "nomp",
-            expected: m,
-            actual: b.len(),
-        });
-    }
-    if opts.max_atoms == 0 {
-        return Err(LinalgError::InvalidArgument("nomp: max_atoms must be > 0"));
-    }
-
-    if !vector::all_finite(b) {
-        return Err(LinalgError::NonFinite {
-            context: "nomp rhs",
-        });
-    }
+    check_inputs(a, b, opts)?;
+    let (m, n) = (a.rows(), a.cols());
 
     // Observability seam: with `metrics` absent (the default) neither an
     // atomic nor a clock is ever touched on this path, and the disabled
@@ -327,47 +404,15 @@ fn pursuit<M: DesignMatrix>(
     let span = tracing::trace_span!("nomp_pursuit", rows = m, cols = n, l_max = opts.max_atoms);
     let _span_guard = span.enter();
 
-    ws.reset(m, n);
-
-    // Column norms for correlation normalisation; zero columns are never
-    // selected. A NaN/Inf anywhere in a column makes its norm non-finite,
-    // so this pass doubles as the up-front finiteness scan of the design
-    // matrix (which may be sparse — scanning norms avoids densifying it).
-    for j in 0..n {
-        a.column_into(j, &mut ws.col_buf);
-        ws.col_norms[j] = vector::norm2(&ws.col_buf);
-    }
-    if !vector::all_finite(&ws.col_norms) {
-        return Err(LinalgError::NonFinite {
-            context: "nomp design matrix",
-        });
-    }
+    ws.reset_norms(a)?;
 
     ws.residual.copy_from_slice(b);
     let mut sq_res = vector::dot(&ws.residual, &ws.residual);
 
-    let mut results: Vec<NompResult> =
-        Vec::with_capacity(if record_path { opts.max_atoms } else { 1 });
+    let mut results: Vec<NompResult> = Vec::with_capacity(opts.max_atoms);
 
     loop {
-        // Budget checkpoints: every budget whose stopping condition first
-        // holds here gets the current state.
-        if record_path {
-            while results.len() < opts.max_atoms {
-                let l = results.len() + 1;
-                if ws.support.len() >= l.min(n) || sq_res <= opts.residual_tolerance {
-                    if let Some(mm) = metrics {
-                        SolverMetrics::incr(&mm.path_snapshots);
-                    }
-                    results.push(ws.snapshot(sq_res));
-                } else {
-                    break;
-                }
-            }
-            if results.len() == opts.max_atoms {
-                break;
-            }
-        } else if ws.support.len() >= opts.max_atoms.min(n) || sq_res <= opts.residual_tolerance {
+        if ws.record_budgets(&mut results, opts, sq_res, metrics) {
             break;
         }
 
@@ -415,79 +460,18 @@ fn pursuit<M: DesignMatrix>(
                 SolverMetrics::incr(&mm.sparse_gram_builds);
             }
         }
-        let entering_dots: Vec<f64> = ws
+        let mut new_row: Vec<f64> = ws
             .support
             .iter()
             .map(|&k| a.column_dot(k, j_star))
             .collect();
-        for (row, &g) in ws.gram_rows.iter_mut().zip(entering_dots.iter()) {
-            row.push(g);
-        }
-        let mut new_row = entering_dots;
         new_row.push(a.column_dot(j_star, j_star));
-        ws.gram_rows.push(new_row);
-        ws.atb.push(a.column_dot_vec(j_star, b));
-        ws.support.push(j_star);
-        ws.in_support[j_star] = true;
+        ws.enter(j_star, new_row, a.column_dot_vec(j_star, b));
 
-        // Refit on the active set entirely in Gram space. The capped NNLS
-        // never fails on iteration exhaustion: a slow-to-converge refit
-        // degrades this step's fit (best feasible iterate) instead of
-        // aborting the item — the improvement check below then decides
-        // whether pursuit can continue.
-        let g = Matrix::from_rows(&ws.gram_rows)?;
-        let refit_start = metrics.map(|_| std::time::Instant::now());
-        let (x_sub, refit_diag) = nnls_gram_capped_ctl(&g, &ws.atb, ctl)?;
-        if let Some(mm) = metrics {
-            if let Some(t) = refit_start {
-                SolverMetrics::add_time(&mm.refit_nanos, t.elapsed());
-            }
-            SolverMetrics::incr(&mm.nnls_refits);
-            SolverMetrics::add(&mm.nnls_iterations, refit_diag.iterations as u64);
-            if !refit_diag.converged {
-                SolverMetrics::incr(&mm.nnls_cap_hits);
-                tracing::warn!(
-                    "nnls refit hit its iteration cap after {} outer iterations",
-                    refit_diag.iterations
-                );
-            }
-        }
-
-        // Prune zeroed atoms (keeps the support meaningful) and compact the
-        // cached normal equations accordingly.
-        let entering_pos = ws.support.len() - 1;
-        let pruned_entering = x_sub[entering_pos] <= 0.0;
-        let mut kept_pos: Vec<usize> = Vec::with_capacity(ws.support.len());
-        for (pos, v) in x_sub.iter().enumerate() {
-            if *v > 0.0 {
-                kept_pos.push(pos);
-            } else {
-                ws.in_support[ws.support[pos]] = false;
-            }
-        }
-        // Write the dense solution.
-        ws.x.iter_mut().for_each(|v| *v = 0.0);
-        for (v, &j) in x_sub.iter().zip(ws.support.iter()) {
-            if *v > 0.0 {
-                ws.x[j] = *v;
-            }
-        }
-        if kept_pos.len() < ws.support.len() {
-            ws.support = kept_pos.iter().map(|&p| ws.support[p]).collect();
-            ws.atb = kept_pos.iter().map(|&p| ws.atb[p]).collect();
-            ws.gram_rows = kept_pos
-                .iter()
-                .map(|&p| kept_pos.iter().map(|&q| ws.gram_rows[p][q]).collect())
-                .collect();
-        }
-
-        // Update residual.
-        ws.residual.copy_from_slice(b);
-        let ax = a.matvec(&ws.x)?;
-        for (r, v) in ws.residual.iter_mut().zip(ax.iter()) {
-            *r -= v;
-        }
-        let new_sq = vector::dot(&ws.residual, &ws.residual);
+        let x_sub = ws.refit(ctl)?;
+        // Prune zeroed atoms (keeps the support meaningful).
+        let pruned_entering = ws.apply_refit(&x_sub);
+        let new_sq = ws.update_residual(a, b)?;
         let improved = sq_res - new_sq > opts.min_relative_improvement * sq_res.max(1e-30);
         sq_res = new_sq;
         if pruned_entering || !improved {
@@ -496,17 +480,8 @@ fn pursuit<M: DesignMatrix>(
     }
 
     // A break above ends every budget not yet recorded at the current
-    // state; the single-budget variant records its only result here too.
-    if record_path {
-        while results.len() < opts.max_atoms {
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.path_snapshots);
-            }
-            results.push(ws.snapshot(sq_res));
-        }
-    } else {
-        results.push(ws.snapshot(sq_res));
-    }
+    // state.
+    ws.fill_budgets(&mut results, opts, sq_res, metrics);
     if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
         SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
     }
@@ -656,7 +631,7 @@ impl WarmState {
     }
 }
 
-/// [`nomp_path_ctl`] with a [`WarmState`] carried across calls against the
+/// [`nomp_path`] with a [`WarmState`] carried across calls against the
 /// same design matrix.
 ///
 /// Three levels of reuse, each validated rather than assumed:
@@ -690,7 +665,7 @@ impl WarmState {
 /// a truncated anytime state, not a completed answer.
 ///
 /// # Errors
-/// As [`nomp`].
+/// As [`nomp_path`].
 pub fn nomp_path_warm<M: DesignMatrix>(
     a: &M,
     b: &[f64],
@@ -700,23 +675,8 @@ pub fn nomp_path_warm<M: DesignMatrix>(
     ctl: SolveCtl<'_>,
 ) -> Result<Vec<NompResult>, LinalgError> {
     let metrics = ctl.metrics;
-    let m = a.rows();
-    let n = a.cols();
-    if b.len() != m {
-        return Err(LinalgError::DimensionMismatch {
-            context: "nomp",
-            expected: m,
-            actual: b.len(),
-        });
-    }
-    if opts.max_atoms == 0 {
-        return Err(LinalgError::InvalidArgument("nomp: max_atoms must be > 0"));
-    }
-    if !vector::all_finite(b) {
-        return Err(LinalgError::NonFinite {
-            context: "nomp rhs",
-        });
-    }
+    check_inputs(a, b, opts)?;
+    let (m, n) = (a.rows(), a.cols());
 
     if let Some(mm) = metrics {
         SolverMetrics::incr(&mm.nomp_pursuits);
@@ -725,21 +685,10 @@ pub fn nomp_path_warm<M: DesignMatrix>(
     let span = tracing::trace_span!("nomp_pursuit", rows = m, cols = n, l_max = opts.max_atoms);
     let _span_guard = span.enter();
 
-    ws.reset(m, n);
-
-    // Same norm pass as the cold engine (doubles as the finiteness scan of
-    // the design matrix) — and the warm state's validation gate: a bitwise
-    // mismatch against the cached norms means the matrix changed, which
-    // conservatively drops every matrix-derived cache.
-    for j in 0..n {
-        a.column_into(j, &mut ws.col_buf);
-        ws.col_norms[j] = vector::norm2(&ws.col_buf);
-    }
-    if !vector::all_finite(&ws.col_norms) {
-        return Err(LinalgError::NonFinite {
-            context: "nomp design matrix",
-        });
-    }
+    // Same norm pass as the cold engine — and the warm state's validation
+    // gate: a bitwise mismatch against the cached norms means the matrix
+    // changed, which conservatively drops every matrix-derived cache.
+    ws.reset_norms(a)?;
     if warm.shape != Some((m, n)) || warm.col_norms != ws.col_norms {
         warm.shape = Some((m, n));
         warm.col_norms.clear();
@@ -800,18 +749,7 @@ pub fn nomp_path_warm<M: DesignMatrix>(
 
     loop {
         // Budget checkpoints, identical to the cold engine.
-        while results.len() < opts.max_atoms {
-            let l = results.len() + 1;
-            if ws.support.len() >= l.min(n) || sq_res <= opts.residual_tolerance {
-                if let Some(mm) = metrics {
-                    SolverMetrics::incr(&mm.path_snapshots);
-                }
-                results.push(ws.snapshot(sq_res));
-            } else {
-                break;
-            }
-        }
-        if results.len() == opts.max_atoms {
+        if ws.record_budgets(&mut results, opts, sq_res, metrics) {
             break;
         }
 
@@ -898,17 +836,12 @@ pub fn nomp_path_warm<M: DesignMatrix>(
             let g: Vec<f64> = (0..n).map(|k| a.column_dot(k, j_star)).collect();
             warm.gram_cols[j_star] = Some(GramCol::new(g));
         }
+        let mut new_row: Vec<f64> = Vec::with_capacity(ws.support.len() + 1);
         if let Some(gcol) = warm.gram_cols[j_star].as_ref() {
-            for (row, &k) in ws.gram_rows.iter_mut().zip(ws.support.iter()) {
-                row.push(gcol.values[k]);
-            }
-            let mut new_row: Vec<f64> = ws.support.iter().map(|&k| gcol.values[k]).collect();
+            new_row.extend(ws.support.iter().map(|&k| gcol.values[k]));
             new_row.push(gcol.values[j_star]);
-            ws.gram_rows.push(new_row);
         }
-        ws.atb.push(a.column_dot_vec(j_star, b));
-        ws.support.push(j_star);
-        ws.in_support[j_star] = true;
+        ws.enter(j_star, new_row, a.column_dot_vec(j_star, b));
         // Snapshot the refit inputs before pruning compacts them — this is
         // what the next call's replay compares against.
         let step_atb = ws.atb.clone();
@@ -941,52 +874,12 @@ pub fn nomp_path_warm<M: DesignMatrix>(
                         SolverMetrics::incr(&mm.gram_cache_hits);
                     }
                 }
-                let g = Matrix::from_rows(&ws.gram_rows)?;
-                let refit_start = metrics.map(|_| std::time::Instant::now());
-                let (x_sub, refit_diag) = nnls_gram_capped_ctl(&g, &ws.atb, ctl)?;
-                if let Some(mm) = metrics {
-                    if let Some(t) = refit_start {
-                        SolverMetrics::add_time(&mm.refit_nanos, t.elapsed());
-                    }
-                    SolverMetrics::incr(&mm.nnls_refits);
-                    SolverMetrics::add(&mm.nnls_iterations, refit_diag.iterations as u64);
-                    if !refit_diag.converged {
-                        SolverMetrics::incr(&mm.nnls_cap_hits);
-                        tracing::warn!(
-                            "nnls refit hit its iteration cap after {} outer iterations",
-                            refit_diag.iterations
-                        );
-                    }
-                }
-                x_sub
+                ws.refit(ctl)?
             }
         };
 
         // Prune and compact, identical to the cold engine.
-        let entering_pos = ws.support.len() - 1;
-        let pruned_entering = x_sub[entering_pos] <= 0.0;
-        let mut kept_pos: Vec<usize> = Vec::with_capacity(ws.support.len());
-        for (pos, v) in x_sub.iter().enumerate() {
-            if *v > 0.0 {
-                kept_pos.push(pos);
-            } else {
-                ws.in_support[ws.support[pos]] = false;
-            }
-        }
-        ws.x.iter_mut().for_each(|v| *v = 0.0);
-        for (v, &j) in x_sub.iter().zip(ws.support.iter()) {
-            if *v > 0.0 {
-                ws.x[j] = *v;
-            }
-        }
-        if kept_pos.len() < ws.support.len() {
-            ws.support = kept_pos.iter().map(|&p| ws.support[p]).collect();
-            ws.atb = kept_pos.iter().map(|&p| ws.atb[p]).collect();
-            ws.gram_rows = kept_pos
-                .iter()
-                .map(|&p| kept_pos.iter().map(|&q| ws.gram_rows[p][q]).collect())
-                .collect();
-        }
+        let pruned_entering = ws.apply_refit(&x_sub);
         new_steps.push(WarmStep {
             entered: j_star,
             atb: step_atb,
@@ -995,12 +888,7 @@ pub fn nomp_path_warm<M: DesignMatrix>(
 
         // Residual update, identical to the cold engine — the stopping
         // decisions below see exactly the floats a cold run would.
-        ws.residual.copy_from_slice(b);
-        let ax = a.matvec(&ws.x)?;
-        for (r, v) in ws.residual.iter_mut().zip(ax.iter()) {
-            *r -= v;
-        }
-        let new_sq = vector::dot(&ws.residual, &ws.residual);
+        let new_sq = ws.update_residual(a, b)?;
 
         // Correlation maintenance: downdate `c ← c − Δx_j·G[:,j]` over the
         // atoms whose coefficient changed, with exact recomputes bounding
@@ -1079,12 +967,7 @@ pub fn nomp_path_warm<M: DesignMatrix>(
         }
     }
 
-    while results.len() < opts.max_atoms {
-        if let Some(mm) = metrics {
-            SolverMetrics::incr(&mm.path_snapshots);
-        }
-        results.push(ws.snapshot(sq_res));
-    }
+    ws.fill_budgets(&mut results, opts, sq_res, metrics);
 
     // Store the new trajectory — but never from a cancelled pursuit, whose
     // path is a truncated anytime state rather than a completed answer.
@@ -1111,62 +994,23 @@ pub fn nomp_path_warm<M: DesignMatrix>(
     Ok(results)
 }
 
-thread_local! {
-    static WORKSPACE_POOL: std::cell::RefCell<Vec<NompWorkspace>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Run `f` with a [`NompWorkspace`] drawn from a thread-local pool.
-///
-/// Parallel solvers fan one closure out per item; a fresh workspace per
-/// item would re-allocate the `O(rows + cols)` buffers every time (the
-/// overhead PERFORMANCE.md used to document). The pool keeps one warm
-/// workspace per worker thread — taken on entry, returned on exit — so
-/// reuse is as cheap as the sequential shared-workspace path while
-/// staying data-race-free without locks. Re-entrant calls simply draw a
-/// second workspace; a panic in `f` drops the drawn workspace, which is
-/// safe because workspaces carry no results between runs.
-pub fn with_pooled_workspace<R>(f: impl FnOnce(&mut NompWorkspace) -> R) -> R {
-    let mut ws = WORKSPACE_POOL
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_default();
-    let out = f(&mut ws);
-    WORKSPACE_POOL.with(|p| p.borrow_mut().push(ws));
-    out
-}
-
 /// The straightforward NOMP implementation this crate shipped before the
 /// Gram-cached engine: per iteration it re-materialises the active
-/// submatrix and refits with design-space [`crate::nnls::nnls`].
+/// submatrix and refits with design-space [`crate::nnls::nnls_capped`].
 ///
 /// Kept as the oracle for equivalence tests (the optimised engine must
 /// match it to tight tolerance on random instances) and as readable
 /// reference code for the pursuit itself.
 ///
 /// # Errors
-/// As [`nomp`].
+/// As [`nomp_path`].
 pub fn nomp_reference<M: DesignMatrix>(
     a: &M,
     b: &[f64],
     opts: NompOptions,
 ) -> Result<NompResult, LinalgError> {
-    let m = a.rows();
-    let n = a.cols();
-    if b.len() != m {
-        return Err(LinalgError::DimensionMismatch {
-            context: "nomp",
-            expected: m,
-            actual: b.len(),
-        });
-    }
-    if opts.max_atoms == 0 {
-        return Err(LinalgError::InvalidArgument("nomp: max_atoms must be > 0"));
-    }
-    if !vector::all_finite(b) {
-        return Err(LinalgError::NonFinite {
-            context: "nomp rhs",
-        });
-    }
+    check_inputs(a, b, opts)?;
+    let (m, n) = (a.rows(), a.cols());
 
     let mut support: Vec<usize> = Vec::with_capacity(opts.max_atoms.min(n));
     let mut in_support = vec![false; n];
@@ -1256,6 +1100,20 @@ mod tests {
         NompOptions::with_max_atoms(l)
     }
 
+    /// A cold budget path on fresh scratch, unmetered and uncancellable.
+    fn cold_path<M: DesignMatrix>(
+        a: &M,
+        b: &[f64],
+        o: NompOptions,
+    ) -> Result<Vec<NompResult>, LinalgError> {
+        nomp_path(a, b, o, &mut NompWorkspace::new(), SolveCtl::default())
+    }
+
+    /// The single-budget result: the last entry of the budget path.
+    fn nomp<M: DesignMatrix>(a: &M, b: &[f64], o: NompOptions) -> Result<NompResult, LinalgError> {
+        cold_path(a, b, o).map(|mut p| p.pop().unwrap())
+    }
+
     #[test]
     fn recovers_single_atom() {
         // b is exactly 2 × column 1.
@@ -1314,14 +1172,14 @@ mod tests {
             nomp(&a, &[1.0, 1.0], opts(0)),
             Err(LinalgError::InvalidArgument(_))
         ));
-        assert!(nomp_path(&a, &[1.0, 1.0], opts(0)).is_err());
+        assert!(cold_path(&a, &[1.0, 1.0], opts(0)).is_err());
     }
 
     #[test]
     fn rejects_bad_rhs() {
         let a = Matrix::identity(2);
         assert!(nomp(&a, &[1.0], opts(1)).is_err());
-        assert!(nomp_path(&a, &[1.0], opts(1)).is_err());
+        assert!(cold_path(&a, &[1.0], opts(1)).is_err());
     }
 
     #[test]
@@ -1330,7 +1188,7 @@ mod tests {
         a[(0, 0)] = f64::NAN;
         for r in [
             nomp(&a, &[1.0, 1.0], opts(1)).map(|r| r.x),
-            nomp_path(&a, &[1.0, 1.0], opts(1)).map(|p| p[0].x.clone()),
+            cold_path(&a, &[1.0, 1.0], opts(1)).map(|p| p[0].x.clone()),
             nomp_reference(&a, &[1.0, 1.0], opts(1)).map(|r| r.x),
         ] {
             assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
@@ -1424,7 +1282,7 @@ mod tests {
         for seed in 1..=8u64 {
             let (a, b) = random_instance(12, 9, seed);
             let lmax = 6;
-            let path = nomp_path(&a, &b, opts(lmax)).unwrap();
+            let path = cold_path(&a, &b, opts(lmax)).unwrap();
             assert_eq!(path.len(), lmax);
             for l in 1..=lmax {
                 let single = nomp(&a, &b, opts(l)).unwrap();
@@ -1444,8 +1302,8 @@ mod tests {
         for seed in 1..=4u64 {
             let (a, b) = random_instance(15, 10, seed);
             let sp = CscMatrix::from_dense(&a, 0.0);
-            let dense_path = nomp_path(&a, &b, opts(5)).unwrap();
-            let sparse_path = nomp_path(&sp, &b, opts(5)).unwrap();
+            let dense_path = cold_path(&a, &b, opts(5)).unwrap();
+            let sparse_path = cold_path(&sp, &b, opts(5)).unwrap();
             for (d, s) in dense_path.iter().zip(sparse_path.iter()) {
                 assert_eq!(d.support, s.support);
                 assert_eq!(d.x, s.x);
@@ -1476,23 +1334,22 @@ mod tests {
         let mut ws = NompWorkspace::new();
         let (a1, b1) = random_instance(10, 8, 3);
         let (a2, b2) = random_instance(6, 12, 4);
-        let fresh1 = nomp(&a1, &b1, opts(4)).unwrap();
-        let fresh2 = nomp(&a2, &b2, opts(4)).unwrap();
+        let fresh1 = cold_path(&a1, &b1, opts(4)).unwrap();
+        let fresh2 = cold_path(&a2, &b2, opts(4)).unwrap();
         // Interleave differently shaped problems through one workspace.
-        let reused1 = nomp_with(&a1, &b1, opts(4), &mut ws).unwrap();
-        let reused2 = nomp_with(&a2, &b2, opts(4), &mut ws).unwrap();
-        let reused1_again = nomp_with(&a1, &b1, opts(4), &mut ws).unwrap();
-        assert_eq!(fresh1.x, reused1.x);
-        assert_eq!(fresh2.x, reused2.x);
-        assert_eq!(fresh1.x, reused1_again.x);
-        assert_eq!(fresh1.support, reused1_again.support);
+        let reused1 = nomp_path(&a1, &b1, opts(4), &mut ws, SolveCtl::default()).unwrap();
+        let reused2 = nomp_path(&a2, &b2, opts(4), &mut ws, SolveCtl::default()).unwrap();
+        let reused1_again = nomp_path(&a1, &b1, opts(4), &mut ws, SolveCtl::default()).unwrap();
+        assert_paths_bit_equal(&fresh1, &reused1, "first problem");
+        assert_paths_bit_equal(&fresh2, &reused2, "second problem");
+        assert_paths_bit_equal(&fresh1, &reused1_again, "first problem again");
     }
 
     #[test]
     fn path_budgets_beyond_column_count_saturate() {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         let b = vec![1.0, 1.0];
-        let path = nomp_path(&a, &b, opts(5)).unwrap();
+        let path = cold_path(&a, &b, opts(5)).unwrap();
         assert_eq!(path.len(), 5);
         // Budgets 2..=5 all saturate at the full 2-column support.
         for l in 2..=5 {
@@ -1532,7 +1389,7 @@ mod tests {
         for seed in 1..=10u64 {
             let (a, b) = random_instance(14, 11, seed);
             for l in [1, 3, 6] {
-                let cold = nomp_path(&a, &b, opts(l)).unwrap();
+                let cold = cold_path(&a, &b, opts(l)).unwrap();
                 let warm = warm_path(&a, &b, l, &mut NompWorkspace::new(), &mut WarmState::new());
                 assert_paths_bit_equal(&cold, &warm, &format!("seed {seed} l {l}"));
             }
@@ -1602,7 +1459,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, v)| scale * v + if i % 3 == 0 { shift } else { 0.0 })
                     .collect();
-                let cold = nomp_path(&a, &b2, opts(5)).unwrap();
+                let cold = cold_path(&a, &b2, opts(5)).unwrap();
                 let replayed = warm_path(&a, &b2, 5, &mut ws, &mut warm);
                 assert_paths_bit_equal(
                     &cold,
@@ -1624,14 +1481,14 @@ mod tests {
         let mut ws = NompWorkspace::new();
         let mut warm = WarmState::new();
         let _ = nomp_path_warm(&a1, &b, opts(4), &mut ws, &mut warm, ctl).unwrap();
-        let cold = nomp_path(&a2, &b, opts(4)).unwrap();
+        let cold = cold_path(&a2, &b, opts(4)).unwrap();
         let switched = nomp_path_warm(&a2, &b, opts(4), &mut ws, &mut warm, ctl).unwrap();
         assert_paths_bit_equal(&cold, &switched, "matrix switch");
         // The stale trajectory was invalidated, not truncated mid-replay.
         assert_eq!(metrics.snapshot().warm_start_truncations, 0);
         // And differently-shaped problems reuse the same state safely.
         let (a3, b3) = random_instance(7, 12, 3);
-        let cold3 = nomp_path(&a3, &b3, opts(4)).unwrap();
+        let cold3 = cold_path(&a3, &b3, opts(4)).unwrap();
         let warm3 =
             nomp_path_warm(&a3, &b3, opts(4), &mut ws, &mut warm, SolveCtl::default()).unwrap();
         assert_paths_bit_equal(&cold3, &warm3, "shape switch");
@@ -1651,7 +1508,7 @@ mod tests {
         // The next (uncancelled) call must compute the real answer, not
         // echo the truncated state.
         let full = warm_path(&a, &b, 5, &mut ws, &mut warm);
-        let cold = nomp_path(&a, &b, opts(5)).unwrap();
+        let cold = cold_path(&a, &b, opts(5)).unwrap();
         assert_paths_bit_equal(&cold, &full, "after cancelled warm-up");
         assert!(truncated[4].support.len() <= full[4].support.len());
     }
@@ -1689,22 +1546,5 @@ mod tests {
             SolveCtl::default()
         )
         .is_err());
-    }
-
-    #[test]
-    fn pooled_workspace_matches_fresh_and_nests() {
-        let (a, b) = random_instance(10, 8, 6);
-        let fresh = nomp_path(&a, &b, opts(4)).unwrap();
-        let pooled = with_pooled_workspace(|ws| {
-            // Re-entrant draw: the inner call gets its own workspace.
-            let inner = with_pooled_workspace(|ws2| nomp_path_with(&a, &b, opts(4), ws2).unwrap());
-            let outer = nomp_path_with(&a, &b, opts(4), ws).unwrap();
-            assert_paths_bit_equal(&inner, &outer, "nested pool draws");
-            outer
-        });
-        assert_paths_bit_equal(&fresh, &pooled, "pooled vs fresh");
-        // Second borrow from the (now warm) pool still resets state.
-        let again = with_pooled_workspace(|ws| nomp_path_with(&a, &b, opts(4), ws).unwrap());
-        assert_paths_bit_equal(&fresh, &again, "pool reuse");
     }
 }

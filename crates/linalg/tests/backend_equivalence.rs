@@ -57,8 +57,16 @@ fn cold_paths_agree_bitwise_across_densities() {
         let (a, b) = instance(48, 24, density, 0xC0FFEE + i as u64);
         let csc = CscMatrix::from_dense(&a, 0.0);
         let opts = NompOptions::with_max_atoms(5);
-        let dense = nomp_path(&a, &b, opts).unwrap();
-        let sparse = nomp_path(&csc, &b, opts).unwrap();
+        let dense =
+            nomp_path(&a, &b, opts, &mut NompWorkspace::new(), SolveCtl::default()).unwrap();
+        let sparse = nomp_path(
+            &csc,
+            &b,
+            opts,
+            &mut NompWorkspace::new(),
+            SolveCtl::default(),
+        )
+        .unwrap();
         assert_paths_bit_identical(&dense, &sparse, &format!("density {density}"));
     }
 }
@@ -80,7 +88,14 @@ fn warm_paths_agree_bitwise_across_densities_and_reruns() {
         // target (validated replay / truncation), then back.
         let nudged: Vec<f64> = b.iter().map(|v| v + 0.25).collect();
         for target in [&b, &nudged, &b] {
-            let cold = nomp_path(&a, target, opts).unwrap();
+            let cold = nomp_path(
+                &a,
+                target,
+                opts,
+                &mut NompWorkspace::new(),
+                SolveCtl::default(),
+            )
+            .unwrap();
             let d = nomp_path_warm(&a, target, opts, &mut ws, &mut warm_d, SolveCtl::default())
                 .unwrap();
             let s = nomp_path_warm(

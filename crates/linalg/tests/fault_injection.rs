@@ -15,10 +15,39 @@
 
 use comparesets_linalg::{
     cholesky::{solve_normal_equations, Cholesky},
-    lstsq, nnls, nnls_capped, nnls_gram, nnls_gram_capped, nomp, nomp_path, nomp_reference,
+    lstsq, nnls_capped, nnls_gram, nomp_path, nomp_reference,
     qr::Qr,
-    solve_gram_system, CscMatrix, Matrix, NompOptions, SolveError,
+    solve_gram_system, CscMatrix, DesignMatrix, Matrix, NompOptions, NompResult, NompWorkspace,
+    SolveError,
 };
+use comparesets_obs::SolveCtl;
+
+/// Budget path on fresh scratch, unmetered and uncancellable.
+fn cold_path<M: DesignMatrix>(
+    a: &M,
+    b: &[f64],
+    opts: NompOptions,
+) -> Result<Vec<NompResult>, SolveError> {
+    nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+}
+
+/// Single-budget NOMP: the last entry of the budget path.
+fn nomp<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<NompResult, SolveError> {
+    cold_path(a, b, opts).map(|mut p| p.pop().unwrap())
+}
+
+/// Design-space NNLS without its diagnostics.
+fn nnls(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
+    nnls_capped(a, b).map(|(x, _)| x)
+}
+
+/// Gram-space NNLS, unmetered and uncancellable.
+fn gram(
+    g: &Matrix,
+    atb: &[f64],
+) -> Result<(Vec<f64>, comparesets_linalg::NnlsDiagnostics), SolveError> {
+    nnls_gram(g, atb, SolveCtl::default())
+}
 
 /// Plant `value` at (row, col) of an otherwise well-behaved matrix.
 fn contaminated(rows: usize, cols: usize, row: usize, col: usize, value: f64) -> Matrix {
@@ -53,7 +82,7 @@ fn every_entry_point_classifies_non_finite_matrices() {
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
-            nomp_path(&a, &b, opts),
+            cold_path(&a, &b, opts),
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
@@ -73,11 +102,11 @@ fn every_entry_point_classifies_non_finite_matrices() {
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
-            nnls_gram(&sq, &[1.0; 3]),
+            gram(&sq, &[1.0; 3]),
             Err(SolveError::NonFinite { .. })
         ));
         assert!(matches!(
-            nnls_gram_capped(&sq, &[1.0; 3]),
+            gram(&sq, &[1.0; 3]),
             Err(SolveError::NonFinite { .. })
         ));
     }
@@ -105,10 +134,7 @@ fn every_entry_point_classifies_non_finite_rhs() {
         let g = Matrix::identity(3);
         let mut rhs = vec![1.0; 3];
         rhs[0] = bad;
-        assert!(matches!(
-            nnls_gram(&g, &rhs),
-            Err(SolveError::NonFinite { .. })
-        ));
+        assert!(matches!(gram(&g, &rhs), Err(SolveError::NonFinite { .. })));
         assert!(matches!(
             Cholesky::factor(&g).unwrap().solve(&rhs),
             Err(SolveError::NonFinite { .. })
@@ -220,7 +246,7 @@ fn shape_faults_classify_as_dimension_mismatch() {
         Err(SolveError::DimensionMismatch { .. })
     ));
     assert!(matches!(
-        nnls_gram(&Matrix::zeros(2, 3), &[1.0, 1.0]),
+        gram(&Matrix::zeros(2, 3), &[1.0, 1.0]),
         Err(SolveError::DimensionMismatch { .. })
     ));
     assert!(matches!(

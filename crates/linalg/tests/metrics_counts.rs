@@ -6,10 +6,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    nomp_path, nomp_path_metered, solve_gram_system_with, CscMatrix, Matrix, NompOptions,
-    NompWorkspace,
+    nomp_path, solve_gram_system_with, CscMatrix, Matrix, NompOptions, NompWorkspace,
 };
-use comparesets_obs::SolverMetrics;
+use comparesets_obs::{SolveCtl, SolverMetrics};
 
 /// Orthogonal 2×2 design with both target components positive: the
 /// pursuit must accept both atoms, one per iteration.
@@ -23,12 +22,12 @@ fn pursuit_counters_match_known_trajectory() {
     let (a, b) = orthogonal_system();
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    let path = nomp_path_metered(
+    let path = nomp_path(
         &a,
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
-        Some(&metrics),
+        SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();
     assert_eq!(path.len(), 2);
@@ -60,15 +59,22 @@ fn metered_pursuit_returns_the_unmetered_result() {
     let (a, b) = orthogonal_system();
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    let metered = nomp_path_metered(
+    let metered = nomp_path(
         &a,
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
-        Some(&metrics),
+        SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();
-    let plain = nomp_path(&a, &b, NompOptions::with_max_atoms(2)).unwrap();
+    let plain = nomp_path(
+        &a,
+        &b,
+        NompOptions::with_max_atoms(2),
+        &mut NompWorkspace::new(),
+        SolveCtl::default(),
+    )
+    .unwrap();
     assert_eq!(metered.len(), plain.len());
     for (m, p) in metered.iter().zip(plain.iter()) {
         assert_eq!(m.support, p.support);
@@ -83,12 +89,12 @@ fn counters_accumulate_across_pursuits() {
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
     for _ in 0..3 {
-        nomp_path_metered(
+        nomp_path(
             &a,
             &b,
             NompOptions::with_max_atoms(2),
             &mut ws,
-            Some(&metrics),
+            SolveCtl::metered(Some(&metrics)),
         )
         .unwrap();
     }
@@ -117,12 +123,12 @@ fn dense_scan_counters_match_known_trajectory() {
     let (a, b) = identity8();
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    nomp_path_metered(
+    nomp_path(
         &a,
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
-        Some(&metrics),
+        SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();
     let snap = metrics.snapshot();
@@ -144,12 +150,12 @@ fn sparse_scan_counters_match_known_trajectory() {
     let csc = CscMatrix::from_dense(&a, 0.0);
     let metrics = SolverMetrics::new();
     let mut ws = NompWorkspace::new();
-    nomp_path_metered(
+    nomp_path(
         &csc,
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
-        Some(&metrics),
+        SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();
     let snap = metrics.snapshot();

@@ -3,9 +3,29 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    lstsq, nnls, nnls_capped, nnls_gram, nomp, nomp_path, nomp_reference, CscMatrix, DesignMatrix,
-    LinalgError, Matrix, NompOptions,
+    lstsq, nnls_capped, nnls_gram, nomp_path, nomp_reference, CscMatrix, DesignMatrix, LinalgError,
+    Matrix, NompOptions, NompResult, NompWorkspace,
 };
+use comparesets_obs::SolveCtl;
+
+/// Budget path on fresh scratch, unmetered and uncancellable.
+fn cold_path<M: DesignMatrix>(
+    a: &M,
+    b: &[f64],
+    opts: NompOptions,
+) -> Result<Vec<NompResult>, LinalgError> {
+    nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+}
+
+/// Single-budget NOMP: the last entry of the budget path.
+fn nomp<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<NompResult, LinalgError> {
+    cold_path(a, b, opts).map(|mut p| p.pop().unwrap())
+}
+
+/// Design-space NNLS without its diagnostics.
+fn nnls(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    nnls_capped(a, b).map(|(x, _)| x)
+}
 use proptest::prelude::*;
 
 fn small_f64() -> impl Strategy<Value = f64> {
@@ -233,8 +253,8 @@ proptest! {
             prop_assert_eq!(p.to_bits(), q.to_bits());
         }
         // And the full shared pursuit on top of those primitives.
-        let pd = nomp_path(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
-        let ps = nomp_path(&s, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let pd = cold_path(&a, &b, NompOptions::with_max_atoms(budget)).unwrap();
+        let ps = cold_path(&s, &b, NompOptions::with_max_atoms(budget)).unwrap();
         prop_assert_eq!(pd.len(), ps.len());
         for (d, sp) in pd.iter().zip(ps.iter()) {
             prop_assert_eq!(&d.support, &sp.support);
@@ -266,7 +286,7 @@ proptest! {
     fn shared_path_matches_standalone_pursuits((a, b) in matrix_and_rhs(), l_max in 1usize..=4) {
         // One shared pursuit to l_max must reproduce every standalone
         // budget-l run bit for bit (the tentpole's path-sharing claim).
-        let path = nomp_path(&a, &b, NompOptions::with_max_atoms(l_max)).unwrap();
+        let path = cold_path(&a, &b, NompOptions::with_max_atoms(l_max)).unwrap();
         prop_assert_eq!(path.len(), l_max);
         for (l, shared) in path.iter().enumerate() {
             let solo = nomp(&a, &b, NompOptions::with_max_atoms(l + 1)).unwrap();
@@ -288,10 +308,14 @@ proptest! {
         let opts = NompOptions::with_max_atoms(budget);
         let results = [
             nnls(&a, &b).map(|_| ()),
-            nnls_gram(&a.gram(), &a.tr_matvec(&b).unwrap_or_else(|_| vec![0.0; a.cols()]))
+            nnls_gram(
+                &a.gram(),
+                &a.tr_matvec(&b).unwrap_or_else(|_| vec![0.0; a.cols()]),
+                SolveCtl::default(),
+            )
                 .map(|_| ()),
             nomp(&a, &b, opts).map(|_| ()),
-            nomp_path(&a, &b, opts).map(|_| ()),
+            cold_path(&a, &b, opts).map(|_| ()),
             nomp_reference(&a, &b, opts).map(|_| ()),
             lstsq(&a, &b).map(|_| ()),
         ];

@@ -15,10 +15,10 @@
 //!   counters into a serialisable [`MetricsSnapshot`]; [`MetricsReport`]
 //!   wraps a snapshot with run identity for `--metrics-json`.
 //!
-//! Counters are relaxed atomics: increments from rayon workers interleave
-//! freely, but because the solvers do identical work in parallel and
-//! sequential mode (item-order reduction), the *aggregate* totals are
-//! identical either way — pinned by `crates/core/tests/metrics.rs`.
+//! Counters are relaxed atomics, so one collector can be shared by
+//! concurrent solves (the serving daemon's workers, the TargetHkS
+//! branch-and-bound's scoped threads); increments interleave freely and
+//! the totals are sums over every solve that reported into it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -251,8 +251,7 @@ impl SolverMetrics {
 }
 
 /// Frozen [`SolverMetrics`] counters — plain data, serialisable, and
-/// comparable (the parallel-equals-sequential metrics test relies on
-/// `PartialEq`). Field meanings match the `SolverMetrics` docs.
+/// comparable. Field meanings match the `SolverMetrics` docs.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[allow(missing_docs)]
 pub struct MetricsSnapshot {

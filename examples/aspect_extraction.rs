@@ -7,7 +7,7 @@
 //! ```
 
 use comparesets::core::{
-    solve_comparesets_plus, InstanceContext, Item, OpinionScheme, SelectParams,
+    solve_with, Algorithm, InstanceContext, Item, OpinionScheme, SelectParams, SolveOptions,
 };
 use comparesets::data::Polarity;
 use comparesets::text::{AspectExtractor, Sentiment};
@@ -46,6 +46,7 @@ fn products() -> Vec<(&'static str, Vec<&'static str>)> {
 }
 
 fn main() {
+    let opts = SolveOptions::default();
     let catalog = products();
 
     // 1. Discover the aspect vocabulary from the whole corpus.
@@ -96,7 +97,7 @@ fn main() {
         lambda: 1.0,
         mu: 0.5,
     };
-    let selections = solve_comparesets_plus(&ctx, &params);
+    let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
 
     for (pi, (name, reviews)) in catalog.iter().enumerate() {
         println!("{name}:");

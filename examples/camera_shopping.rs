@@ -9,11 +9,14 @@
 //! cargo run --release --example camera_shopping
 //! ```
 
-use comparesets::core::{solve, Algorithm, InstanceContext, OpinionScheme, SelectParams};
+use comparesets::core::{
+    solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+};
 use comparesets::data::CategoryPreset;
 use comparesets::text::rouge_l;
 
 fn main() {
+    let opts = SolveOptions::default();
     let dataset = CategoryPreset::Cellphone.config(200, 2024).generate();
 
     // Score one algorithm on one instance: mean pairwise ROUGE-L between
@@ -55,7 +58,7 @@ fn main() {
         let mean: f64 = pages
             .iter()
             .enumerate()
-            .map(|(i, ctx)| score(ctx, &solve(ctx, alg, &params, 99 + i as u64)))
+            .map(|(i, ctx)| score(ctx, &solve_with(ctx, alg, &params, 99 + i as u64, &opts)))
             .sum::<f64>()
             / pages.len() as f64;
         println!("{:<22} {:>12.2}", alg.name(), mean);
@@ -79,7 +82,7 @@ fn main() {
         dataset.product(ctx.item(0).product).title,
         ctx.num_items() - 1
     );
-    let selections = solve(ctx, winner, &params, 99);
+    let selections = solve_with(ctx, winner, &params, 99, &opts);
     for i in [0usize, 1] {
         println!("\n{}:", dataset.product(ctx.item(i).product).title);
         for &r in &selections[i].indices {

@@ -8,13 +8,15 @@
 //! ```
 
 use comparesets::core::{
-    solve_comparesets_plus, ComparisonTable, InstanceContext, OpinionScheme, SelectParams,
+    solve_with, Algorithm, ComparisonTable, InstanceContext, OpinionScheme, SelectParams,
+    SolveOptions,
 };
 use comparesets::data::CategoryPreset;
 use comparesets::graph::{solve_exact, ExactOptions, SimilarityGraph};
 use comparesets::text::{summarize, SummaryConfig};
 
 fn main() {
+    let opts = SolveOptions::default();
     let dataset = CategoryPreset::Cellphone.config(150, 8).generate();
     let instance = dataset
         .instances()
@@ -26,7 +28,7 @@ fn main() {
     let params = SelectParams::default();
 
     // Select + narrow.
-    let selections = solve_comparesets_plus(&ctx, &params);
+    let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     let graph = SimilarityGraph::from_selections(&ctx, &selections, params.lambda, params.mu);
     let core = solve_exact(&graph, 0, 3, &ExactOptions::default()).vertices;
 

@@ -6,7 +6,9 @@
 //! cargo run --release --example core_list
 //! ```
 
-use comparesets::core::{solve_comparesets_plus, InstanceContext, OpinionScheme, SelectParams};
+use comparesets::core::{
+    solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+};
 use comparesets::data::CategoryPreset;
 use comparesets::graph::{
     solve_exact, solve_greedy, solve_hks, solve_random_k, solve_top_k_similarity, ExactOptions,
@@ -67,6 +69,7 @@ fn pretty(vertices: &[usize]) -> Vec<String> {
 
 /// End-to-end narrowing on a generated Toy instance.
 fn corpus_demo() {
+    let opts = SolveOptions::default();
     let dataset = CategoryPreset::Toy.config(200, 11).generate();
     let instance = dataset
         .instances()
@@ -76,7 +79,7 @@ fn corpus_demo() {
         .truncated(10);
     let ctx = InstanceContext::build(&dataset, &instance, OpinionScheme::Binary);
     let params = SelectParams::default();
-    let selections = solve_comparesets_plus(&ctx, &params);
+    let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     let graph = SimilarityGraph::from_selections(&ctx, &selections, params.lambda, params.mu);
 
     println!(

@@ -12,12 +12,14 @@
 //! ```
 
 use comparesets::core::{
-    item_objective, solve_comparesets, InstanceContext, Item, OpinionScheme, SelectParams,
+    item_objective, solve_with, Algorithm, InstanceContext, Item, OpinionScheme, SelectParams,
+    SolveOptions,
 };
 use comparesets::data::CategoryPreset;
 use comparesets::efm::{EfmConfig, EfmModel};
 
 fn main() {
+    let opts = SolveOptions::default();
     let dataset = CategoryPreset::Cellphone.config(150, 77).generate();
 
     // 1. Train the explicit factor model on the whole corpus.
@@ -60,8 +62,8 @@ fn main() {
         lambda: 1.0,
         mu: 0.0,
     };
-    let sel_emp = solve_comparesets(&empirical, &params);
-    let sel_lrn = solve_comparesets(&learned, &params);
+    let sel_emp = solve_with(&empirical, Algorithm::CompareSets, &params, 0, &opts);
+    let sel_lrn = solve_with(&learned, Algorithm::CompareSets, &params, 0, &opts);
 
     println!("\nTop predicted aspects for the target item:");
     let target_product = empirical.item(0).product.0 as usize;

@@ -6,10 +6,13 @@
 //! cargo run --release --example opinion_schemes
 //! ```
 
-use comparesets::core::{solve_comparesets, InstanceContext, OpinionScheme, SelectParams};
+use comparesets::core::{
+    solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+};
 use comparesets::data::CategoryPreset;
 
 fn main() {
+    let opts = SolveOptions::default();
     let dataset = CategoryPreset::Clothing.config(120, 33).generate();
     let instance = dataset
         .instances()
@@ -21,7 +24,7 @@ fn main() {
 
     for scheme in OpinionScheme::ALL {
         let ctx = InstanceContext::build(&dataset, &instance, scheme);
-        let selections = solve_comparesets(&ctx, &params);
+        let selections = solve_with(&ctx, Algorithm::CompareSets, &params, 0, &opts);
         println!("=== scheme: {} ===", scheme.name());
         println!(
             "opinion-vector dimension: {} (z = {})",

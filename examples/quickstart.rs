@@ -4,11 +4,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use comparesets::core::{solve_comparesets_plus, InstanceContext, OpinionScheme, SelectParams};
+use comparesets::core::{
+    solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+};
 use comparesets::data::CategoryPreset;
 use comparesets::graph::{solve_greedy, SimilarityGraph};
 
 fn main() {
+    let opts = SolveOptions::default();
     // 1. A corpus. Real deployments load their own reviews (see
     //    `comparesets::data::io`); here we generate a synthetic category.
     let dataset = CategoryPreset::Cellphone.config(120, 7).generate();
@@ -37,7 +40,7 @@ fn main() {
     // 3. Select m = 3 comparative reviews per item (Problem 2 of the
     //    paper, solved with alternating Integer-Regression).
     let params = SelectParams::default(); // m = 3, lambda = 1, mu = 0.1
-    let selections = solve_comparesets_plus(&ctx, &params);
+    let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     for (i, sel) in selections.iter().enumerate() {
         println!(
             "item {i}: selected {} of {} reviews -> {:?}",

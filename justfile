@@ -1,7 +1,7 @@
 # Local equivalents of the CI gates (.github/workflows/ci.yml).
 
 # Run every CI gate in order.
-ci: fmt-check clippy build test doctest doc smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke
+ci: fmt-check clippy build test doctest doc smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke bench-selfcheck
 
 fmt:
     cargo fmt
@@ -223,6 +223,13 @@ chaos-smoke:
 # smoke" CI step).
 sparse-smoke:
     COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench --bench nomp_sparse
+
+# Smoke-size self-check of the end-to-end benchmark (BENCHMARK.json,
+# perfbench/): builds it against the workspace crates, runs every
+# workload traced and untraced, and checks names, units and answers
+# (mirrors the "Benchmark selfcheck" CI step).
+bench-selfcheck:
+    python3 perfbench/selfcheck.py
 
 # Refresh the performance baselines (updates BENCH_parallel_solver.json,
 # BENCH_serve.json, BENCH_sparse.json, BENCH_stream.json, and

@@ -23,7 +23,9 @@
 //!
 //! ```
 //! use comparesets::data::CategoryPreset;
-//! use comparesets::core::{InstanceContext, OpinionScheme, SelectParams};
+//! use comparesets::core::{
+//!     solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+//! };
 //! use comparesets::graph::{solve_greedy, SimilarityGraph};
 //!
 //! // 1. A corpus (here: synthetic camera-accessory-style data).
@@ -35,7 +37,8 @@
 //!
 //! // 3. Select m = 3 comparative reviews per item (CompaReSetS+).
 //! let params = SelectParams::default();
-//! let selections = comparesets::core::solve_comparesets_plus(&ctx, &params);
+//! let opts = SolveOptions::default();
+//! let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
 //!
 //! // 4. Narrow to the 3 most mutually similar items (TargetHkS).
 //! let graph = SimilarityGraph::from_selections(&ctx, &selections, params.lambda, params.mu);

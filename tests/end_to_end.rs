@@ -2,8 +2,8 @@
 //! end, with determinism checks.
 
 use comparesets::core::{
-    comparesets_plus_objective, solve, solve_comparesets, solve_comparesets_plus, Algorithm,
-    InstanceContext, OpinionScheme, SelectParams,
+    comparesets_plus_objective, solve_with, Algorithm, InstanceContext, OpinionScheme,
+    SelectParams, SolveOptions,
 };
 use comparesets::data::CategoryPreset;
 use comparesets::graph::{solve_exact, solve_greedy, ExactOptions, SimilarityGraph, SolveStatus};
@@ -23,11 +23,12 @@ fn setup() -> (comparesets::data::Dataset, InstanceContext) {
 
 #[test]
 fn full_pipeline_runs_and_is_deterministic() {
+    let opts = SolveOptions::default();
     let (dataset, ctx) = setup();
     let params = SelectParams::default();
 
-    let sels1 = solve_comparesets_plus(&ctx, &params);
-    let sels2 = solve_comparesets_plus(&ctx, &params);
+    let sels1 = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
+    let sels2 = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     assert_eq!(sels1, sels2, "selection must be deterministic");
 
     let graph = SimilarityGraph::from_selections(&ctx, &sels1, params.lambda, params.mu);
@@ -46,14 +47,15 @@ fn full_pipeline_runs_and_is_deterministic() {
 
 #[test]
 fn synchronized_objective_ordering_holds() {
+    let opts = SolveOptions::default();
     let (_, ctx) = setup();
     let params = SelectParams {
         m: 3,
         lambda: 1.0,
         mu: 1.0,
     };
-    let base = solve_comparesets(&ctx, &params);
-    let plus = solve_comparesets_plus(&ctx, &params);
+    let base = solve_with(&ctx, Algorithm::CompareSets, &params, 0, &opts);
+    let plus = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     let ob = comparesets_plus_objective(&ctx, &base, params.lambda, params.mu);
     let op = comparesets_plus_objective(&ctx, &plus, params.lambda, params.mu);
     assert!(
@@ -64,6 +66,7 @@ fn synchronized_objective_ordering_holds() {
 
 #[test]
 fn all_algorithms_produce_valid_selections() {
+    let opts = SolveOptions::default();
     let (_, ctx) = setup();
     for m in [1, 3, 5] {
         let params = SelectParams {
@@ -72,7 +75,7 @@ fn all_algorithms_produce_valid_selections() {
             mu: 0.1,
         };
         for alg in Algorithm::ALL {
-            let sels = solve(&ctx, alg, &params, 3);
+            let sels = solve_with(&ctx, alg, &params, 3, &opts);
             assert_eq!(sels.len(), ctx.num_items());
             for (i, s) in sels.iter().enumerate() {
                 assert!(!s.is_empty(), "{alg:?} m={m} item {i} empty");
@@ -85,10 +88,17 @@ fn all_algorithms_produce_valid_selections() {
 
 #[test]
 fn selected_reviews_share_vocabulary_across_items() {
+    let opts = SolveOptions::default();
     // The synchronized selection should produce nonzero cross-item ROUGE
     // on template-generated text.
     let (dataset, ctx) = setup();
-    let sels = solve_comparesets_plus(&ctx, &SelectParams::default());
+    let sels = solve_with(
+        &ctx,
+        Algorithm::CompareSetsPlus,
+        &SelectParams::default(),
+        0,
+        &opts,
+    );
     let mut total = 0.0;
     let mut count = 0;
     for j in 1..ctx.num_items() {
@@ -111,9 +121,10 @@ fn selected_reviews_share_vocabulary_across_items() {
 
 #[test]
 fn greedy_core_list_matches_exact_on_small_instances() {
+    let opts = SolveOptions::default();
     let (_, ctx) = setup();
     let params = SelectParams::default();
-    let sels = solve_comparesets_plus(&ctx, &params);
+    let sels = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     let graph = SimilarityGraph::from_selections(&ctx, &sels, params.lambda, params.mu);
     let exact = solve_exact(&graph, 0, 3, &ExactOptions::default());
     let greedy = solve_greedy(&graph, 0, 3);

@@ -2,13 +2,15 @@
 //! (the §4.2.3 future-work path, end to end).
 
 use comparesets::core::{
-    item_objective, solve_comparesets, InstanceContext, Item, OpinionScheme, SelectParams,
+    item_objective, solve_with, Algorithm, InstanceContext, Item, OpinionScheme, SelectParams,
+    SolveOptions,
 };
 use comparesets::data::CategoryPreset;
 use comparesets::efm::{EfmConfig, EfmModel};
 
 #[test]
 fn efm_targets_drive_selection_end_to_end() {
+    let opts = SolveOptions::default();
     let dataset = CategoryPreset::Toy.config(80, 3).generate();
     let model = EfmModel::train(
         &dataset,
@@ -51,7 +53,7 @@ fn efm_targets_drive_selection_end_to_end() {
         lambda: 1.0,
         mu: 0.0,
     };
-    let sels = solve_comparesets(&learned, &params);
+    let sels = solve_with(&learned, Algorithm::CompareSets, &params, 0, &opts);
     for (i, s) in sels.iter().enumerate() {
         assert!(!s.is_empty());
         assert!(s.len() <= 3);

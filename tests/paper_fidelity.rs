@@ -2,7 +2,7 @@
 //! the public facade API.
 
 use comparesets::core::{
-    solve_comparesets, solve_crs, InstanceContext, Item, OpinionScheme, SelectParams,
+    solve_with, Algorithm, InstanceContext, Item, OpinionScheme, SelectParams, SolveOptions,
 };
 use comparesets::data::{Polarity, ProductId, ReviewId};
 use comparesets::graph::{solve_exact, solve_hks, ExactOptions, SimilarityGraph};
@@ -56,6 +56,7 @@ fn working_example_1_vectors() {
 
 #[test]
 fn working_example_2_integer_regression_attains_zero_objective() {
+    let opts = SolveOptions::default();
     let ctx = InstanceContext::from_items(5, vec![working_example_item()], OpinionScheme::Binary);
     for m in [3, 4, 5] {
         let params = SelectParams {
@@ -63,7 +64,7 @@ fn working_example_2_integer_regression_attains_zero_objective() {
             lambda: 1.0,
             mu: 0.0,
         };
-        let sels = solve_comparesets(&ctx, &params);
+        let sels = solve_with(&ctx, Algorithm::CompareSets, &params, 0, &opts);
         let cost = comparesets::core::item_objective(&ctx, 0, &sels[0], 1.0);
         assert!(cost < 1e-12, "m={m}: cost {cost}");
     }
@@ -71,9 +72,19 @@ fn working_example_2_integer_regression_attains_zero_objective() {
 
 #[test]
 fn crs_special_case_matches_opinion_distribution() {
+    let opts = SolveOptions::default();
     // CRS = CompaReSetS with a single item and λ = 0 (§2.2).
     let ctx = InstanceContext::from_items(5, vec![working_example_item()], OpinionScheme::Binary);
-    let crs = solve_crs(&ctx, 3);
+    let crs = solve_with(
+        &ctx,
+        Algorithm::Crs,
+        &SelectParams {
+            m: 3,
+            ..SelectParams::default()
+        },
+        0,
+        &opts,
+    );
     let pi = ctx.space().pi(ctx.item(0), &crs[0].indices);
     assert!(sq_distance(ctx.tau(0), &pi) < 1e-12);
 }

@@ -2,7 +2,8 @@
 //! + extractive summaries) over a fully solved instance.
 
 use comparesets::core::{
-    solve_comparesets_plus, ComparisonTable, InstanceContext, OpinionScheme, SelectParams,
+    solve_with, Algorithm, ComparisonTable, InstanceContext, OpinionScheme, SelectParams,
+    SolveOptions,
 };
 use comparesets::data::CategoryPreset;
 use comparesets::graph::{solve_exact, ExactOptions, SimilarityGraph};
@@ -10,6 +11,7 @@ use comparesets::text::{summarize, SummaryConfig};
 
 #[test]
 fn full_pipeline_to_comparison_table_and_summaries() {
+    let opts = SolveOptions::default();
     let dataset = CategoryPreset::Cellphone.config(120, 4).generate();
     let instance = dataset
         .instances()
@@ -19,7 +21,7 @@ fn full_pipeline_to_comparison_table_and_summaries() {
         .truncated(6);
     let ctx = InstanceContext::build(&dataset, &instance, OpinionScheme::Binary);
     let params = SelectParams::default();
-    let selections = solve_comparesets_plus(&ctx, &params);
+    let selections = solve_with(&ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
     let graph = SimilarityGraph::from_selections(&ctx, &selections, params.lambda, params.mu);
     let core = solve_exact(&graph, 0, 3, &ExactOptions::default()).vertices;
 

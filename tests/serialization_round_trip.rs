@@ -1,12 +1,15 @@
 //! Corpus serialisation: results must be identical whether an experiment
 //! runs on the in-memory corpus or on a JSON round-tripped copy.
 
-use comparesets::core::{solve_comparesets_plus, InstanceContext, OpinionScheme, SelectParams};
+use comparesets::core::{
+    solve_with, Algorithm, InstanceContext, OpinionScheme, SelectParams, SolveOptions,
+};
 use comparesets::data::io::{from_json, to_json};
 use comparesets::data::CategoryPreset;
 
 #[test]
 fn selection_is_invariant_under_json_round_trip() {
+    let opts = SolveOptions::default();
     let original = CategoryPreset::Toy.config(60, 123).generate();
     let json = to_json(&original).expect("serialise");
     let restored = from_json(&json).expect("deserialise");
@@ -29,8 +32,8 @@ fn selection_is_invariant_under_json_round_trip() {
     let ctx_b = InstanceContext::build(&restored, &inst_b, OpinionScheme::Binary);
     let params = SelectParams::default();
     assert_eq!(
-        solve_comparesets_plus(&ctx_a, &params),
-        solve_comparesets_plus(&ctx_b, &params)
+        solve_with(&ctx_a, Algorithm::CompareSetsPlus, &params, 0, &opts),
+        solve_with(&ctx_b, Algorithm::CompareSetsPlus, &params, 0, &opts)
     );
 }
 
