@@ -92,7 +92,7 @@ fn design_at_density(
 /// One cold budget path on fresh scratch.
 fn cold_path<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) {
     let mut ws = NompWorkspace::new();
-    black_box(nomp_path(a, b, opts, &mut ws, SolveCtl::default()).unwrap());
+    black_box(nomp_path(a, b, opts, &mut ws, None, SolveCtl::default()).unwrap());
 }
 
 fn bench_nomp(c: &mut Criterion) {

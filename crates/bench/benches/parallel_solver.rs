@@ -66,7 +66,7 @@ fn naive_budget_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
 fn shared_path_sweep(a: &CscMatrix, b: &[f64], l_max: usize) {
     let mut ws = NompWorkspace::new();
     let opts = NompOptions::with_max_atoms(l_max);
-    black_box(nomp_path(a, b, opts, &mut ws, SolveCtl::default()).unwrap());
+    black_box(nomp_path(a, b, opts, &mut ws, None, SolveCtl::default()).unwrap());
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -91,7 +91,8 @@ fn bench_engine(c: &mut Criterion) {
 
 /// Warm-started alternation against the cold engine: the same
 /// multi-sweep CompaReSetS+ solve with the per-item warm-start caches on
-/// (the default) and off. Sweep 1 measures pure warm-engine overhead;
+/// (the default) and off. A single sweep builds no warm state (no later
+/// round could read it), so sweep 1 runs the same code either way;
 /// sweeps >= 2 measure the payoff once targets start repeating.
 fn bench_alternation(c: &mut Criterion) {
     let dataset = comparesets_bench::corpus();

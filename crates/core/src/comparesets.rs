@@ -24,7 +24,7 @@ use comparesets_linalg::NompWorkspace;
 use crate::error::{validate_params, CoreError};
 use crate::instance::{InstanceContext, Selection};
 use crate::integer_regression::{
-    regress, session_regress, DedupColumns, OnFailure, RegressionTask, RegressionWarm,
+    regress, resolve_item, DedupColumns, OnFailure, RegressionTask, RegressionWarm,
 };
 use crate::{SelectParams, SolveOptions, SolverMetrics};
 
@@ -116,7 +116,8 @@ pub(crate) fn solve_comparesets(
 }
 
 /// CompaReSetS+ (Problem 2) with `sweeps` alternating Gauss–Seidel sweeps
-/// (Algorithm 1 performs one) and caller-held warm states.
+/// (Algorithm 1 performs one), warm-started from `warm` (one state per
+/// item) or solved cold when it is `None`.
 ///
 /// The CompaReSetS seed runs through [`solve_comparesets`]; a failed item
 /// keeps its `Err` slot and is **excluded from the coupling**: healthy
@@ -130,7 +131,7 @@ pub(crate) fn solve_comparesets_plus(
     params: &SelectParams,
     sweeps: usize,
     opts: &SolveOptions,
-    warm: &mut [RegressionWarm],
+    mut warm: Option<&mut [RegressionWarm]>,
     on_failure: OnFailure,
 ) -> Slots {
     let (lambda, mu) = (params.lambda, params.mu);
@@ -146,21 +147,18 @@ pub(crate) fn solve_comparesets_plus(
     }
 
     // One pursuit workspace serves every per-item step of every sweep, and
-    // each item keeps a warm-start cache across sweeps: once the other
-    // items' selections stop changing, an item's extended target Υ repeats
-    // verbatim and the re-solve is served from cache (ARCHITECTURE.md §9).
+    // with warm states each item keeps a cache across sweeps: once the
+    // other items' selections stop changing, an item's extended target Υ
+    // repeats verbatim and the re-solve is served from cache
+    // (ARCHITECTURE.md §9).
     let metrics = opts.metrics_ref();
     let ctl = opts.ctl();
     let span = tracing::debug_span!("comparesets_plus_alternation", items = n, sweeps = sweeps);
     let _span_guard = span.enter();
     let mut ws = NompWorkspace::new();
     // The items are immutable for the whole solve, so each one's column
-    // grouping is computed once and shared by every warm reuse probe.
-    let dedups: Vec<DedupColumns> = if opts.warm_start {
-        (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect()
-    } else {
-        Vec::new()
-    };
+    // grouping is computed once and shared by every per-item step.
+    let dedups: Vec<DedupColumns> = (0..n).map(|j| DedupColumns::build(ctx.item(j))).collect();
     // φ(Sⱼ) under each healthy item's current selection (`None` for a
     // failed item), refreshed only when an accept changes the selection —
     // φ is a pure function of the selection, so the cache is bit-identical
@@ -210,60 +208,19 @@ pub(crate) fn solve_comparesets_plus(
             for p in &other_phis {
                 aspect_targets.push((p, mu));
             }
-            // Warm fast path: probe the cache against the stacked target
-            // before paying for the design-matrix build — on stabilised
-            // rounds the whole re-solve reduces to this comparison.
-            let reused = if opts.warm_start {
-                RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
-                    .ok()
-                    .and_then(|t| warm[i].probe_reuse(&dedups[i], &t, params.m, metrics))
-            } else {
-                None
-            };
-            // A failed build or solve keeps the current valid selection,
-            // so every error channel collapses to `None` here.
-            let candidate = if reused.is_some() {
-                reused
-            } else if opts.warm_start {
-                // Session path: the design matrix is parked inside
-                // warm[i] between rounds, so stabilised sweeps skip the
-                // O(q·rows) assembly and only re-stack the target.
-                session_regress(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                    params.m,
-                    item_plus_cost,
-                    &mut ws,
-                    &mut warm[i],
-                    on_failure,
-                    ctl,
-                )
-                .ok()
-            } else {
-                RegressionTask::build(
-                    ctx.space(),
-                    ctx.item(i),
-                    ctx.tau(i),
-                    &aspect_targets,
-                    opts.backend,
-                )
-                .ok()
-                .and_then(|task| {
-                    regress(
-                        &task,
-                        params.m,
-                        item_plus_cost,
-                        &mut ws,
-                        None,
-                        on_failure,
-                        ctl,
-                    )
-                    .ok()
-                })
-            };
+            // A failed build or solve keeps the current valid selection.
+            let candidate = resolve_item(
+                ctx,
+                i,
+                &dedups[i],
+                &aspect_targets,
+                params.m,
+                item_plus_cost,
+                &mut ws,
+                warm.as_deref_mut().map(|w| &mut w[i]),
+                on_failure,
+                opts,
+            );
 
             // A candidate equal to the current selection can never win the
             // strict `<` accept test (the objective is a pure function of
@@ -284,11 +241,22 @@ pub(crate) fn solve_comparesets_plus(
     slots
 }
 
-/// One fresh [`RegressionWarm`] per item of `ctx`.
-pub(crate) fn fresh_warm(ctx: &InstanceContext) -> Vec<RegressionWarm> {
-    (0..ctx.num_items())
-        .map(|_| RegressionWarm::new())
-        .collect()
+/// [`solve_comparesets_plus`] with warm states the solver owns and drops
+/// on return. They are built only when a later sweep can read them — warm
+/// starts on and more than one sweep — so a single sweep runs cold.
+pub(crate) fn solve_with_own_states(
+    ctx: &InstanceContext,
+    params: &SelectParams,
+    sweeps: usize,
+    opts: &SolveOptions,
+    on_failure: OnFailure,
+) -> Slots {
+    let mut warm: Option<Vec<RegressionWarm>> = (opts.warm_start && sweeps > 1).then(|| {
+        (0..ctx.num_items())
+            .map(|_| RegressionWarm::new())
+            .collect()
+    });
+    solve_comparesets_plus(ctx, params, sweeps, opts, warm.as_deref_mut(), on_failure)
 }
 
 /// CompaReSetS+ with a configurable number of alternating sweeps.
@@ -301,7 +269,13 @@ pub fn solve_comparesets_plus_sweeps_with(
     sweeps: usize,
     opts: &SolveOptions,
 ) -> Vec<Selection> {
-    solve_comparesets_plus_sweeps_warm_with(ctx, params, sweeps, opts, &mut fresh_warm(ctx))
+    fallback_selections(solve_with_own_states(
+        ctx,
+        params,
+        sweeps,
+        opts,
+        OnFailure::Fallback,
+    ))
 }
 
 /// [`solve_comparesets_plus_sweeps_with`] with caller-held warm states —
@@ -312,7 +286,8 @@ pub fn solve_comparesets_plus_sweeps_with(
 /// states are read *and updated in place*: on return each slot carries the
 /// trajectory of its item's last re-solve, so a caller holding them across
 /// calls lets a repeat or near-repeat solve start from validated reuse
-/// instead of from scratch. Every level of reuse is validated against the
+/// instead of from scratch; the states are filled at every sweep count,
+/// a single sweep included. Every level of reuse is validated against the
 /// live inputs (ARCHITECTURE.md §9), so selections are byte-identical to a
 /// cold solve whatever states are passed in — fresh states reproduce
 /// [`solve_comparesets_plus_sweeps_with`] exactly, and stale states from a
@@ -339,7 +314,7 @@ pub fn solve_comparesets_plus_sweeps_warm_with(
         params,
         sweeps,
         opts,
-        warm,
+        opts.warm_start.then_some(warm),
         OnFailure::Fallback,
     ))
 }
@@ -363,14 +338,7 @@ pub fn solve_comparesets_plus_sweeps_checked(
     opts: &SolveOptions,
 ) -> Result<Vec<Result<Selection, CoreError>>, CoreError> {
     validate_params(params)?;
-    let slots = solve_comparesets_plus(
-        ctx,
-        params,
-        sweeps,
-        opts,
-        &mut fresh_warm(ctx),
-        OnFailure::Report,
-    );
+    let slots = solve_with_own_states(ctx, params, sweeps, opts, OnFailure::Report);
     classify_deadline(slots, opts)
 }
 

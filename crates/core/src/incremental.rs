@@ -18,9 +18,7 @@
 //! budget.
 
 use crate::instance::{InstanceContext, ReviewFeature, Selection};
-use crate::integer_regression::{
-    regress, session_regress, DedupColumns, OnFailure, RegressionTask, RegressionWarm,
-};
+use crate::integer_regression::{resolve_item, DedupColumns, OnFailure, RegressionWarm};
 use crate::objective::comparesets_plus_objective;
 use crate::{solve_with, Algorithm, SelectParams, SolveOptions};
 use comparesets_data::ReviewId;
@@ -263,68 +261,25 @@ impl IncrementalSession {
         for p in &other_phis {
             aspect_targets.push((p.as_slice(), mu));
         }
-        // Warm fast path: an unchanged re-selection (e.g. a review arrived
-        // on another item without moving its selection) is served from the
-        // cache before the design matrix is rebuilt.
-        let reused = if self.opts.warm_start {
-            RegressionTask::try_stack_target(ctx.space(), ctx.tau(i), &aspect_targets)
-                .ok()
-                .and_then(|t| {
-                    let dedup = DedupColumns::build(ctx.item(i));
-                    self.warm[i].probe_reuse(&dedup, &t, self.params.m, self.opts.metrics_ref())
-                })
-        } else {
-            None
-        };
+        // With warm starts, an unchanged re-selection (a review arrived on
+        // another item) is served from the item's cache, and an appended
+        // review grows the parked CSC matrix in place (`resolve_item`).
         // The fallback policy never fails the regression, so `None` only
         // means target blocks that do not fit the space — impossible for
         // a context's own τ/Γ/φ — and keeps the old selection.
-        let candidate = if reused.is_some() {
-            reused
-        } else if self.opts.warm_start {
-            // Session path: the parked design matrix survives ingest — an
-            // appended review whose feature forms a new dedup group grows
-            // the cached CSC by one column in place; a feature matching an
-            // existing group reuses the matrix untouched (only the caps
-            // changed). Edits and deletes fail the structural key and
-            // rebuild.
-            session_regress(
-                ctx.space(),
-                ctx.item(i),
-                ctx.tau(i),
-                &aspect_targets,
-                self.opts.backend,
-                self.params.m,
-                cost,
-                &mut self.workspace,
-                &mut self.warm[i],
-                OnFailure::Fallback,
-                self.opts.ctl(),
-            )
-            .ok()
-        } else {
-            RegressionTask::build(
-                ctx.space(),
-                ctx.item(i),
-                ctx.tau(i),
-                &aspect_targets,
-                self.opts.backend,
-            )
-            .ok()
-            .and_then(|task| {
-                let ctl = self.opts.ctl();
-                regress(
-                    &task,
-                    self.params.m,
-                    cost,
-                    &mut self.workspace,
-                    None,
-                    OnFailure::Fallback,
-                    ctl,
-                )
-                .ok()
-            })
-        };
+        let dedup = DedupColumns::build(ctx.item(i));
+        let candidate = resolve_item(
+            ctx,
+            i,
+            &dedup,
+            &aspect_targets,
+            self.params.m,
+            cost,
+            &mut self.workspace,
+            self.opts.warm_start.then_some(&mut self.warm[i]),
+            OnFailure::Fallback,
+            &self.opts,
+        );
         let Some(candidate) = candidate else {
             return;
         };

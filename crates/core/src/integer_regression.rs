@@ -19,7 +19,8 @@
 //!    bit-identical to standalone runs (`comparesets_linalg::nomp_path`) —
 //!    then round the normalised solution to the closest integer selection
 //!    `ν` with `νᵢ ≤ cᵢ`, `‖ν‖₁ ≤ m` (line 8) using largest-remainder
-//!    rounding over every total mass `s ≤ m`.
+//!    rounding over every total mass `s ≤ min(m, |ℛᵢ|)` (a larger mass
+//!    selects every review, as `s = |ℛᵢ|` already does).
 //! 4. Keep the candidate minimising the *true* objective (lines 10–12),
 //!    evaluated by a caller-supplied closure so CRS, CompaReSetS, and
 //!    CompaReSetS+ can share this machinery with their own objectives.
@@ -51,19 +52,20 @@
 //!         + sq_distance(&gamma, &space.phi(&item, &s.indices))
 //! };
 //! let mut ws = NompWorkspace::new();
-//! let sel = integer_regression(&task, 2, evaluate, &mut ws, None, SolveCtl::default()).unwrap();
+//! let sel = integer_regression(&task, 2, evaluate, &mut ws, SolveCtl::default()).unwrap();
 //! assert!(!sel.is_empty() && sel.len() <= 2);
 //! ```
 
 use comparesets_linalg::{
-    nomp_path, nomp_path_warm, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions,
-    NompWorkspace, SolveError, WarmState,
+    nomp_path, CscMatrix, DesignMatrix, LinalgError, Matrix, NompOptions, NompWorkspace,
+    SolveError, WarmState,
 };
 use comparesets_obs::{SolveCtl, SolverMetrics};
 
 use crate::error::CoreError;
-use crate::instance::{Item, ReviewFeature, Selection};
+use crate::instance::{InstanceContext, Item, ReviewFeature, Selection};
 use crate::space::VectorSpace;
+use crate::SolveOptions;
 
 /// Deduplicated design-matrix columns for one item.
 #[derive(Debug, Clone)]
@@ -307,14 +309,7 @@ impl RegressionTask {
     ) -> Result<Self, CoreError> {
         let target = Self::try_stack_target(space, opinion_target, aspect_targets)?;
         let dedup = DedupColumns::build(item);
-        // Build columns sparsely: only the mentioned opinion slots and the
-        // mentioned aspects of each review are non-zero.
-        let columns: Vec<Vec<(usize, f64)>> = dedup
-            .groups
-            .iter()
-            .map(|group| column_entries(space, &item.features[group[0]], aspect_targets))
-            .collect();
-        let matrix = assemble_matrix(target.len(), &columns, backend)?;
+        let matrix = build_matrix(space, item, &dedup, aspect_targets, target.len(), backend)?;
         Ok(RegressionTask {
             matrix,
             target,
@@ -325,9 +320,9 @@ impl RegressionTask {
     /// Stack the pre-weighted target vector Υ without building the design
     /// matrix — the cheap half of [`RegressionTask::build`] (the
     /// matrix costs `O(q·(od + z·blocks))`, the target only
-    /// `O(od + z·blocks)`). Warm re-solve probes use this to test cache
-    /// validity before paying for the matrix; the vector is bit-identical
-    /// to the `target` field `build` would produce.
+    /// `O(od + z·blocks)`). The warm re-solve step uses this to test
+    /// cache validity before paying for the matrix; the vector is
+    /// bit-identical to the `target` field `build` would produce.
     ///
     /// # Errors
     /// [`CoreError::DimensionMismatch`] exactly as
@@ -391,6 +386,26 @@ fn column_entries(
         }
     }
     entries
+}
+
+/// The design matrix of `item` under `dedup`'s grouping: one column per
+/// group, built sparsely (only the mentioned opinion slots and the
+/// mentioned aspects of each review are non-zero) and stored as `backend`
+/// decides.
+fn build_matrix(
+    space: &VectorSpace,
+    item: &Item,
+    dedup: &DedupColumns,
+    aspect_targets: &[(&[f64], f64)],
+    rows: usize,
+    backend: MatrixBackend,
+) -> Result<TaskMatrix, CoreError> {
+    let columns: Vec<Vec<(usize, f64)>> = dedup
+        .groups
+        .iter()
+        .map(|g| column_entries(space, &item.features[g[0]], aspect_targets))
+        .collect();
+    assemble_matrix(rows, &columns, backend)
 }
 
 /// Materialise the backend's representation from sparse column entry
@@ -516,7 +531,8 @@ pub(crate) enum OnFailure {
     Report,
 }
 
-/// Run Integer-Regression for one item (Algorithm 1 lines 6–12).
+/// Run Integer-Regression for one item (Algorithm 1 lines 6–12) on a
+/// prepared task, from a cold start.
 ///
 /// `evaluate` must return the true objective of a candidate selection
 /// (lower is better); the best candidate over all ℓ and rounding masses is
@@ -530,15 +546,12 @@ pub(crate) enum OnFailure {
 /// single run instead of `m` runs — identical solutions, ~`m×` less
 /// solver work.
 ///
-/// `workspace` is pursuit scratch reused across calls. With a
-/// [`RegressionWarm`] the relaxation runs through
-/// [`comparesets_linalg::nomp_path_warm`] (validated replay + incremental
-/// correlations), and an unchanged re-solve — bit-equal target, same
-/// budget and caps — returns the cached selection without rounding or
-/// evaluating anything. `ctl` carries the optional metrics collector and
-/// cancellation token: a fired token collapses the relaxation to its
-/// entry state, so the answer is the cheap single-review fallback — still
-/// feasible, still non-empty.
+/// `workspace` is pursuit scratch reused across calls; nothing else is
+/// kept between calls (the alternating solvers' warm re-solves carry a
+/// [`RegressionWarm`] per item instead, ARCHITECTURE.md §9). `ctl`
+/// carries the optional metrics collector and cancellation token: a fired
+/// token collapses the relaxation to its entry state, so the answer is the
+/// cheap single-review fallback — still feasible, still non-empty.
 ///
 /// # Errors
 /// The [`SolveError`] the NOMP relaxation reported.
@@ -547,13 +560,12 @@ pub fn integer_regression<F>(
     m: usize,
     evaluate: F,
     workspace: &mut NompWorkspace,
-    warm: Option<&mut RegressionWarm>,
     ctl: SolveCtl<'_>,
 ) -> Result<Selection, SolveError>
 where
     F: FnMut(&Selection) -> f64,
 {
-    regress(task, m, evaluate, workspace, warm, OnFailure::Report, ctl)
+    regress(task, m, evaluate, workspace, None, OnFailure::Report, ctl)
 }
 
 /// The final answer of a previous warm regression, with the inputs it was
@@ -628,10 +640,9 @@ impl MatrixKey {
 /// *same item* (the intended use — both CompaReSetS+ variants and the
 /// incremental session thread exactly that).
 ///
-/// The session entry point ([`integer_regression_session`]) also parks
-/// the item's [`TaskMatrix`] here between re-solves, validated by an exact
-/// structural key: an unchanged item reuses the matrix outright, an
-/// append-only item grows its CSC columns in place
+/// The state also parks the item's [`TaskMatrix`] between re-solves,
+/// validated by an exact structural key: an unchanged item reuses the
+/// matrix outright, an append-only item grows its CSC columns in place
 /// ([`CscMatrix::try_push_column`]), and anything else rebuilds. This is
 /// what lets alternating sweeps skip the `O(q·rows)` matrix assembly per
 /// round and lets the serving daemon's session cache hold one resident CSC
@@ -652,9 +663,9 @@ impl RegressionWarm {
     /// Drop the trajectory and answer caches (see
     /// [`WarmState::invalidate`]); call when the item behind this cache
     /// changed. The parked design matrix survives: it is validated by an
-    /// exact structural key on every session re-solve, so a stale matrix
-    /// is grown in place (append-only change) or rebuilt (anything else)
-    /// rather than trusted.
+    /// exact structural key on every re-solve, so a stale matrix is grown
+    /// in place (append-only change) or rebuilt (anything else) rather
+    /// than trusted.
     pub fn invalidate(&mut self) {
         self.state.invalidate();
         self.cached = None;
@@ -667,23 +678,14 @@ impl RegressionWarm {
         self.matrix.as_ref().map_or(0, |(_, m)| m.memory_bytes())
     }
 
-    /// Matrix-free full-skip probe: when this cache holds the answer of a
-    /// completed re-solve whose inputs are unchanged — bit-equal stacked
-    /// target (see [`RegressionTask::try_stack_target`]), same budget
-    /// `m`, same dedup caps — return it without building the design
-    /// matrix, running the pursuit, or rounding anything.
-    ///
-    /// `dedup` must be the item's current column grouping
-    /// ([`DedupColumns::build`]); callers solving the same immutable item
-    /// repeatedly (the alternating sweeps) build it once and reuse it.
-    ///
-    /// This is the same decision [`integer_regression`] makes
-    /// internally, hoisted in front of the `O(q·rows)` matrix
-    /// construction so alternating solvers can skip task assembly on
-    /// stabilised rounds. Counters are recorded exactly as the in-engine
-    /// fast path records them, so the metrics identities hold whichever
-    /// path serves the reuse.
-    pub fn probe_reuse(
+    /// Full-target reuse, decided before any design matrix is built: when
+    /// this cache holds the answer of a completed re-solve whose inputs
+    /// are unchanged — bit-equal stacked target (see
+    /// [`RegressionTask::try_stack_target`]), same budget `m`, same dedup
+    /// caps — return it without building the matrix, running the pursuit,
+    /// or rounding anything. Counters are recorded as a regression whose
+    /// pursuit took the engine's own full-reuse path.
+    fn probe_reuse(
         &self,
         dedup: &DedupColumns,
         target: &[f64],
@@ -711,145 +713,139 @@ impl RegressionWarm {
         }
         if let Some(mm) = metrics {
             SolverMetrics::incr(&mm.integer_regressions);
+            SolverMetrics::incr(&mm.nomp_pursuits);
         }
         self.state.record_full_reuse(metrics);
         Some(cached.selection.clone())
     }
+
+    /// Take the parked design matrix for `item` under `dedup`'s grouping,
+    /// reusing it when its structural key licenses that: exact match →
+    /// reuse outright (trajectory kept), append-only growth on a CSC
+    /// matrix → push the new columns in place (trajectory dropped — it
+    /// replays a different candidate set), anything else → rebuild under
+    /// `backend` (trajectory dropped). Grown and rebuilt matrices are
+    /// entry-for-entry identical ([`column_entries`] is shared), so every
+    /// path yields byte-identical selections.
+    ///
+    /// On an exact key match the held representation wins even if
+    /// `backend` changed between calls — representations are
+    /// selection-equivalent, so swapping one in costs a rebuild for no
+    /// observable difference.
+    fn take_matrix(
+        &mut self,
+        space: &VectorSpace,
+        item: &Item,
+        dedup: &DedupColumns,
+        aspect_targets: &[(&[f64], f64)],
+        backend: MatrixBackend,
+    ) -> Result<(MatrixKey, TaskMatrix), CoreError> {
+        let key = MatrixKey::build(space, item, dedup, aspect_targets);
+        let matrix = match self.matrix.take() {
+            Some((held_key, held)) if held_key == key => held,
+            Some((held_key, TaskMatrix::Sparse(mut csc))) if held_key.is_prefix_of(&key) => {
+                for g in held_key.reps.len()..key.reps.len() {
+                    let entries =
+                        column_entries(space, &item.features[dedup.groups[g][0]], aspect_targets);
+                    csc.try_push_column(&entries)
+                        .map_err(classify_build_error)?;
+                }
+                self.invalidate();
+                TaskMatrix::Sparse(csc)
+            }
+            held => {
+                // A held matrix that reaches here failed validation (the
+                // item was edited, a weight changed, a dense matrix cannot
+                // grow); its trajectory describes a dead candidate set.
+                if held.is_some() {
+                    self.invalidate();
+                }
+                build_matrix(space, item, dedup, aspect_targets, key.rows, backend)?
+            }
+        };
+        Ok((key, matrix))
+    }
 }
 
-/// Assemble the regression task for a session re-solve, reusing the
-/// matrix parked in `warm` when its structural key licenses it: exact
-/// match → reuse outright (trajectory kept), append-only growth on a CSC
-/// matrix → push the new columns in place (trajectory dropped — it
-/// replays a different candidate set), anything else → rebuild under
-/// `backend` (trajectory dropped). Grown and rebuilt matrices are
-/// entry-for-entry identical ([`column_entries`] is shared), so every
-/// path yields byte-identical selections.
+/// One Algorithm 1 re-solve of item `i` of `ctx` against the stacked
+/// target `[τᵢ; aspect_targets]`, scored by `evaluate` — the per-item step
+/// shared by the CompaReSetS+ sweeps and [`crate::IncrementalSession`].
+/// `dedup` is the item's current column grouping ([`DedupColumns::build`]),
+/// which the caller builds once per item version.
 ///
-/// On an exact key match the held representation wins even if `backend`
-/// changed between calls — representations are selection-equivalent, so
-/// swapping one in costs a rebuild for no observable difference.
-fn session_task(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    warm: &mut RegressionWarm,
-) -> Result<(MatrixKey, RegressionTask), CoreError> {
-    let target = RegressionTask::try_stack_target(space, opinion_target, aspect_targets)?;
-    let dedup = DedupColumns::build(item);
-    let key = MatrixKey::build(space, item, &dedup, aspect_targets);
-    let matrix = match warm.matrix.take() {
-        Some((held_key, held)) if held_key == key => held,
-        Some((held_key, TaskMatrix::Sparse(mut csc))) if held_key.is_prefix_of(&key) => {
-            for g in held_key.reps.len()..key.reps.len() {
-                let entries =
-                    column_entries(space, &item.features[dedup.groups[g][0]], aspect_targets);
-                csc.try_push_column(&entries)
-                    .map_err(classify_build_error)?;
-            }
-            warm.invalidate();
-            TaskMatrix::Sparse(csc)
-        }
-        held => {
-            // A held matrix that reaches here failed validation (the item
-            // was edited, a weight changed, a dense matrix cannot grow);
-            // its trajectory describes a dead candidate set.
-            if held.is_some() {
-                warm.invalidate();
-            }
-            let columns: Vec<Vec<(usize, f64)>> = dedup
-                .groups
-                .iter()
-                .map(|g| column_entries(space, &item.features[g[0]], aspect_targets))
-                .collect();
-            assemble_matrix(key.rows, &columns, backend)?
-        }
-    };
-    Ok((
-        key,
-        RegressionTask {
-            matrix,
-            target,
-            dedup,
-        },
-    ))
-}
-
-/// [`integer_regression`] with a [`RegressionWarm`] that also owns the
-/// design-matrix lifecycle: instead of taking a pre-built
-/// [`RegressionTask`], this builds the task from the raw blocks and
-/// **parks the matrix inside `warm`** between calls. A re-solve of an
-/// unchanged item (the alternating sweeps' steady state, the serving
-/// daemon's repeat sessions) skips the `O(q·rows)` matrix assembly
-/// entirely; an append-only item (incremental ingest) grows its CSC
-/// columns in place; anything else rebuilds under `backend`. Selections
-/// are byte-identical to building fresh and calling
-/// [`integer_regression`]. The matrix is parked back also when the solver
-/// itself failed — it is still valid.
+/// Without a [`RegressionWarm`] the step builds the task and solves cold.
+/// With one it first probes for full-target reuse (no matrix built,
+/// nothing rounded), then solves on the matrix parked in the state
+/// (reused, grown in place, or rebuilt) through the warm pursuit, and
+/// parks the matrix back — also when the solve failed, since it is still
+/// valid. Selections are identical either way.
 ///
-/// # Errors
-/// [`CoreError::DimensionMismatch`] on malformed target blocks;
-/// [`CoreError::Solver`] (with `item` 0 — the caller knows which item it
-/// is solving) when the relaxation fails.
-#[allow(clippy::too_many_arguments)] // the raw task blocks plus the integer_regression surface
-pub fn integer_regression_session<F>(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
+/// `None` when the target blocks do not fit the space, the matrix cannot
+/// be built, or the relaxation fails under [`OnFailure::Report`]; the
+/// callers then keep the item's current selection.
+#[allow(clippy::too_many_arguments)] // the item, its targets and the regression surface
+pub(crate) fn resolve_item<F>(
+    ctx: &InstanceContext,
+    i: usize,
+    dedup: &DedupColumns,
     aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
     m: usize,
     evaluate: F,
     workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, CoreError>
+    warm: Option<&mut RegressionWarm>,
+    on_failure: OnFailure,
+    opts: &SolveOptions,
+) -> Option<Selection>
 where
     F: FnMut(&Selection) -> f64,
 {
-    session_regress(
-        space,
-        item,
-        opinion_target,
-        aspect_targets,
-        backend,
+    let (space, item) = (ctx.space(), ctx.item(i));
+    let target = RegressionTask::try_stack_target(space, ctx.tau(i), aspect_targets).ok()?;
+    let ctl = opts.ctl();
+    let Some(w) = warm else {
+        let matrix = build_matrix(
+            space,
+            item,
+            dedup,
+            aspect_targets,
+            target.len(),
+            opts.backend,
+        )
+        .ok()?;
+        let task = RegressionTask {
+            matrix,
+            target,
+            dedup: dedup.clone(),
+        };
+        return regress(&task, m, evaluate, workspace, None, on_failure, ctl).ok();
+    };
+    if let Some(reused) = w.probe_reuse(dedup, &target, m, ctl.metrics) {
+        return Some(reused);
+    }
+    let (key, matrix) = w
+        .take_matrix(space, item, dedup, aspect_targets, opts.backend)
+        .ok()?;
+    let task = RegressionTask {
+        matrix,
+        target,
+        dedup: dedup.clone(),
+    };
+    let result = regress(
+        &task,
         m,
         evaluate,
         workspace,
-        warm,
-        OnFailure::Report,
+        Some(&mut *w),
+        on_failure,
         ctl,
-    )
+    );
+    w.matrix = Some((key, task.matrix));
+    result.ok()
 }
 
-/// [`integer_regression_session`] under either [`OnFailure`] policy.
-#[allow(clippy::too_many_arguments)] // the raw task blocks plus the integer_regression surface
-pub(crate) fn session_regress<F>(
-    space: &VectorSpace,
-    item: &Item,
-    opinion_target: &[f64],
-    aspect_targets: &[(&[f64], f64)],
-    backend: MatrixBackend,
-    m: usize,
-    evaluate: F,
-    workspace: &mut NompWorkspace,
-    warm: &mut RegressionWarm,
-    on_failure: OnFailure,
-    ctl: SolveCtl<'_>,
-) -> Result<Selection, CoreError>
-where
-    F: FnMut(&Selection) -> f64,
-{
-    let (key, task) = session_task(space, item, opinion_target, aspect_targets, backend, warm)?;
-    let result = regress(&task, m, evaluate, workspace, Some(warm), on_failure, ctl)
-        .map_err(|source| CoreError::Solver { item: 0, source });
-    warm.matrix = Some((key, task.matrix));
-    result
-}
-
-/// [`integer_regression`] under either [`OnFailure`] policy. Under
+/// [`integer_regression`] under either [`OnFailure`] policy, optionally
+/// through a [`RegressionWarm`]'s trajectory cache (whose full-target
+/// reuse [`resolve_item`] has already ruled out). Under
 /// [`OnFailure::Fallback`] this never returns `Err`: a failed relaxation
 /// continues into the single-review fallback (kept bit-for-bit for
 /// well-posed inputs).
@@ -889,41 +885,20 @@ where
         // never exceed the q distinct columns), so the path only needs the
         // distinct budgets 1..=min(m, q); duplicates would re-evaluate the
         // same candidates and lose every strict-< comparison anyway.
-        let l_max = m.min(q);
-        let opts = NompOptions::with_max_atoms(l_max);
-
-        // Full skip: an unchanged re-solve (bit-equal target under the
-        // same options, same budget and caps) would reproduce the cached
-        // answer verbatim — the pursuit deterministically, the rounding
-        // and evaluation deterministically from it. Count the reuse as
-        // the engine's own fast path would.
-        if let Some(w) = warm.as_deref_mut() {
-            if let Some(c) = &w.cached {
-                if c.m == m && c.caps == caps && w.state.full_reuse_ready(&task.target, opts) {
-                    w.state.record_full_reuse(metrics);
-                    return Ok(c.selection.clone());
-                }
-            }
-        }
-
-        let solved = match warm.as_deref_mut() {
-            Some(w) => nomp_path_warm(
-                &task.matrix,
-                &task.target,
-                opts,
-                workspace,
-                &mut w.state,
-                ctl,
-            ),
-            None => nomp_path(&task.matrix, &task.target, opts, workspace, ctl),
-        };
-        match solved {
+        let opts = NompOptions::with_max_atoms(m.min(q));
+        // Likewise every rounding mass s ≥ Σcᵢ saturates every cap, so
+        // masses beyond the item's review count only repeat the "every
+        // review" candidate that s = Σcᵢ already considered. Bounding the
+        // loop keeps its cost independent of a caller-supplied m.
+        let s_max = m.min(caps.iter().sum());
+        let state = warm.as_deref_mut().map(|w| &mut w.state);
+        match nomp_path(&task.matrix, &task.target, opts, workspace, state, ctl) {
             Ok(path) => {
                 for res in &path {
                     if res.support.is_empty() {
                         continue;
                     }
-                    for s in 1..=m {
+                    for s in 1..=s_max {
                         if let Some(nu) = round_with_caps(&res.x, s, &caps) {
                             let sel = task.dedup.expand(&nu);
                             consider(sel, &mut evaluate, &mut best);
@@ -1012,7 +987,6 @@ mod tests {
             m,
             eval,
             &mut NompWorkspace::new(),
-            None,
             SolveCtl::default(),
         )
     }
@@ -1160,6 +1134,35 @@ mod tests {
     }
 
     #[test]
+    fn rounding_masses_stop_at_the_review_count() {
+        // Every mass s ≥ Σcᵢ rounds to "every review", so a budget far
+        // beyond the item's review count must cost no more evaluations
+        // than a budget equal to it, and select the same reviews.
+        let item = crate::space::fixtures::working_example_item();
+        let space = VectorSpace::new(5, OpinionScheme::Binary);
+        let all: Vec<usize> = (0..item.num_reviews()).collect();
+        let tau = space.pi(&item, &all);
+        let gamma = space.phi(&item, &all);
+        let task = build(&space, &item, &tau, &[(&gamma, 1.0)]);
+        let reviews: usize = task.dedup.caps().iter().sum();
+        let run = |m: usize| {
+            let mut calls = 0usize;
+            let sel = strict(&task, m, |s| {
+                calls += 1;
+                sq_distance(&tau, &space.pi(&item, &s.indices))
+                    + sq_distance(&gamma, &space.phi(&item, &s.indices))
+            })
+            .unwrap();
+            (sel, calls)
+        };
+        let (at_count, calls_at_count) = run(reviews);
+        let (beyond, calls_beyond) = run(10_000);
+        assert_eq!(at_count, beyond);
+        assert_eq!(calls_at_count, calls_beyond);
+        assert!(calls_beyond < 10_000, "{calls_beyond} evaluations");
+    }
+
+    #[test]
     fn single_review_item() {
         let item = item_with(vec![vec![(0, Polarity::Positive)]]);
         let space = VectorSpace::new(1, OpinionScheme::Binary);
@@ -1186,6 +1189,23 @@ mod tests {
         }
     }
 
+    /// The parked-matrix step of a warm re-solve, on the CSC backend.
+    fn parked(
+        warm: &mut RegressionWarm,
+        space: &VectorSpace,
+        item: &Item,
+        targets: &[(&[f64], f64)],
+    ) -> (MatrixKey, TaskMatrix) {
+        warm.take_matrix(
+            space,
+            item,
+            &DedupColumns::build(item),
+            targets,
+            MatrixBackend::Sparse,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn session_grows_parked_csc_in_place_to_match_rebuild() {
         use Polarity::{Negative, Positive};
@@ -1196,17 +1216,9 @@ mod tests {
 
         let small = item_with(vec![vec![(0, Positive)], vec![(1, Negative)]]);
         let mut warm = RegressionWarm::new();
-        let (key, task) = session_task(
-            &space,
-            &small,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        assert!(task.matrix.is_sparse());
-        warm.matrix = Some((key, task.matrix.clone()));
+        let (key, matrix) = parked(&mut warm, &space, &small, &targets);
+        assert!(matrix.is_sparse());
+        warm.matrix = Some((key, matrix));
 
         // Appending a structurally new review must extend the parked CSC
         // in place — and land bit-identically on a from-scratch build.
@@ -1215,34 +1227,18 @@ mod tests {
             vec![(1, Negative)],
             vec![(2, Positive)],
         ]);
-        let (key2, grown) = session_task(
-            &space,
-            &grown_item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
+        let (key2, grown) = parked(&mut warm, &space, &grown_item, &targets);
         let rebuilt =
             RegressionTask::build(&space, &grown_item, &tau, &targets, MatrixBackend::Sparse)
                 .unwrap();
-        assert!(grown.matrix.is_sparse());
-        assert_matrices_bit_identical(&grown.matrix, &rebuilt.matrix, "grown vs rebuilt");
+        assert!(grown.is_sparse());
+        assert_matrices_bit_identical(&grown, &rebuilt.matrix, "grown vs rebuilt");
 
         // Exact-key reuse: re-solving the identical item hands the parked
         // matrix straight back.
-        warm.matrix = Some((key2, grown.matrix.clone()));
-        let (_, reused) = session_task(
-            &space,
-            &grown_item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        assert_matrices_bit_identical(&reused.matrix, &rebuilt.matrix, "exact-key reuse");
+        warm.matrix = Some((key2, grown));
+        let (_, reused) = parked(&mut warm, &space, &grown_item, &targets);
+        assert_matrices_bit_identical(&reused, &rebuilt.matrix, "exact-key reuse");
     }
 
     #[test]
@@ -1255,36 +1251,16 @@ mod tests {
         let item = item_with(vec![vec![(0, Positive)], vec![(1, Negative)]]);
 
         let mut warm = RegressionWarm::new();
-        let (key, task) = session_task(
-            &space,
-            &item,
-            &tau,
-            &targets,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
-        warm.matrix = Some((key, task.matrix));
+        let (key, matrix) = parked(&mut warm, &space, &item, &targets);
+        warm.matrix = Some((key, matrix));
 
         // Different target weight → different weight_bits → not a prefix:
         // the session must rebuild, not grow.
         let reweighted: [(&[f64], f64); 1] = [(&gamma, 2.0)];
-        let (_, rebuilt_via_session) = session_task(
-            &space,
-            &item,
-            &tau,
-            &reweighted,
-            MatrixBackend::Sparse,
-            &mut warm,
-        )
-        .unwrap();
+        let (_, rebuilt_via_session) = parked(&mut warm, &space, &item, &reweighted);
         let fresh =
             RegressionTask::build(&space, &item, &tau, &reweighted, MatrixBackend::Sparse).unwrap();
-        assert_matrices_bit_identical(
-            &rebuilt_via_session.matrix,
-            &fresh.matrix,
-            "mismatch rebuild",
-        );
+        assert_matrices_bit_identical(&rebuilt_via_session, &fresh.matrix, "mismatch rebuild");
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub use exhaustive::{solve_exhaustive, solve_exhaustive_item};
 pub use incremental::{IncrementalSession, SessionEvent};
 pub use instance::{InstanceContext, Item, ReviewFeature, Selection};
 pub use integer_regression::{
-    integer_regression, integer_regression_session, MatrixBackend, RegressionTask, RegressionWarm,
-    TaskMatrix, DENSITY_CROSSOVER,
+    integer_regression, MatrixBackend, RegressionTask, RegressionWarm, TaskMatrix,
+    DENSITY_CROSSOVER,
 };
 pub use objective::{
     comparesets_objective, comparesets_plus_objective, item_objective, pair_distance,
@@ -122,10 +122,14 @@ impl Default for SelectParams {
 /// per-item [`RegressionWarm`] cache across Gauss–Seidel sweeps and
 /// incremental re-solves: re-solves whose target is unchanged are served
 /// from cache, and changed targets replay the previous trajectory with
-/// validation (ARCHITECTURE.md §9). Selections are pinned equal to the
-/// cold path by `crates/core/tests/warm_start.rs`; set `warm_start` to
-/// `false` to force every sweep to solve from scratch (the cold baseline
-/// the `alternation/*` benches compare against).
+/// validation (ARCHITECTURE.md §9). A solver that owns its states builds
+/// them only when a later sweep can read them, so a single-sweep solve
+/// (Algorithm 1's default, [`solve_with`]) runs cold either way; states
+/// the caller holds ([`solve_comparesets_plus_sweeps_warm_with`]) are
+/// filled at every sweep count. Selections are pinned equal to the cold
+/// path by `crates/core/tests/warm_start.rs`; set `warm_start` to `false`
+/// to force every sweep to solve from scratch (the cold baseline the
+/// `alternation/*` benches compare against).
 ///
 /// `backend` picks the design-matrix storage ([`MatrixBackend`]): CSC,
 /// dense, or per-task automatic selection by stored density against
@@ -136,7 +140,9 @@ impl Default for SelectParams {
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
     /// Carry per-item warm-start caches across alternating sweeps and
-    /// incremental re-solves (on by default).
+    /// incremental re-solves (on by default). Solver-owned caches are
+    /// built only when a later sweep reads them, so a single sweep runs
+    /// cold either way.
     pub warm_start: bool,
     /// Design-matrix storage backend for every regression the solve
     /// builds ([`MatrixBackend::Auto`] by default: CSC below the
@@ -277,8 +283,7 @@ fn solve_slots(
         Algorithm::CompareSetsGreedy => solve_greedy(ctx, params).into_iter().map(Ok).collect(),
         Algorithm::CompareSets => comparesets::solve_comparesets(ctx, params, opts, on_failure),
         Algorithm::CompareSetsPlus => {
-            let mut warm = comparesets::fresh_warm(ctx);
-            comparesets::solve_comparesets_plus(ctx, params, 1, opts, &mut warm, on_failure)
+            comparesets::solve_with_own_states(ctx, params, 1, opts, on_failure)
         }
     }
 }

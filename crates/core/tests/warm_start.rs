@@ -10,8 +10,9 @@
 use std::sync::Arc;
 
 use comparesets_core::{
-    solve_comparesets_plus_sweeps_checked, solve_comparesets_plus_sweeps_with, IncrementalSession,
-    InstanceContext, OpinionScheme, ReviewFeature, SelectParams, Selection, SolveOptions,
+    solve_comparesets_plus_sweeps_checked, solve_comparesets_plus_sweeps_warm_with,
+    solve_comparesets_plus_sweeps_with, solve_with, Algorithm, IncrementalSession, InstanceContext,
+    OpinionScheme, RegressionWarm, ReviewFeature, SelectParams, Selection, SolveOptions,
     SolverMetrics,
 };
 use comparesets_data::{CategoryPreset, Polarity, ReviewId};
@@ -180,4 +181,38 @@ fn cold_solves_never_touch_the_warm_counters() {
     assert_eq!(snap.corr_incremental_updates, 0);
     assert_eq!(snap.corr_exact_recomputes, 0);
     assert_eq!(snap.nnls_refits, snap.nomp_iterations);
+}
+
+#[test]
+fn single_sweep_solvers_keep_no_dead_state_but_caller_held_states_fill() {
+    // A solver that owns its warm states and drops them on return builds
+    // none for one sweep: no later round could read them. States the
+    // caller holds are filled anyway, so a repeat call reuses them.
+    let params = SelectParams::default();
+    for ctx in &contexts() {
+        let coldsel = solve_comparesets_plus_sweeps_with(ctx, &params, 1, &cold());
+        let metrics = Arc::new(SolverMetrics::new());
+        let opts = SolveOptions::default().with_metrics(Arc::clone(&metrics));
+        let single = solve_with(ctx, Algorithm::CompareSetsPlus, &params, 0, &opts);
+        let one_sweep = solve_comparesets_plus_sweeps_with(ctx, &params, 1, &opts);
+        assert_eq!(single, coldsel);
+        assert_eq!(one_sweep, coldsel);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.warm_start_hits, 0);
+        assert_eq!(snap.corr_incremental_updates, 0);
+        assert_eq!(snap.corr_exact_recomputes, 0);
+
+        let mut states: Vec<RegressionWarm> = (0..ctx.num_items())
+            .map(|_| RegressionWarm::new())
+            .collect();
+        let first = solve_comparesets_plus_sweeps_warm_with(ctx, &params, 1, &opts, &mut states);
+        let hits_before = metrics.snapshot().warm_start_hits;
+        let second = solve_comparesets_plus_sweeps_warm_with(ctx, &params, 1, &opts, &mut states);
+        assert_eq!(first, coldsel);
+        assert_eq!(second, coldsel);
+        assert!(
+            metrics.snapshot().warm_start_hits > hits_before,
+            "a repeat single-sweep solve did not reuse the caller's states"
+        );
+    }
 }

@@ -18,9 +18,10 @@
 //!   relaxation solver referenced as `NOMP` in Algorithm 1 of the paper.
 //!   The engine caches the active-set Gram matrix incrementally and
 //!   returns the whole budget path ℓ = 1…m from a single pursuit
-//!   ([`nomp::nomp_path`]); [`nomp::nomp_path_warm`] re-solves the same
-//!   matrix from a validated cross-call cache, and [`nomp::nomp_reference`]
-//!   is the straightforward oracle both are tested against.
+//!   ([`nomp::nomp_path`]), which re-solves the same matrix from a
+//!   validated cross-call cache when handed a [`nomp::WarmState`];
+//!   [`nomp::nomp_reference`] is the straightforward oracle it is tested
+//!   against.
 //! * [`vector`] — free functions on `&[f64]` slices (dot products, norms,
 //!   the squared-Euclidean distance Δ of Equation 2, cosine similarity).
 //!
@@ -49,8 +50,6 @@ pub use cholesky::{solve_gram_system, solve_gram_system_with};
 pub use error::{LinalgError, SolveError};
 pub use matrix::Matrix;
 pub use nnls::{nnls_capped, nnls_gram, NnlsDiagnostics};
-pub use nomp::{
-    nomp_path, nomp_path_warm, nomp_reference, NompOptions, NompResult, NompWorkspace, WarmState,
-};
+pub use nomp::{nomp_path, nomp_reference, NompOptions, NompResult, NompWorkspace, WarmState};
 pub use qr::lstsq;
 pub use sparse::{CscMatrix, DesignMatrix};

@@ -33,13 +33,14 @@
 //!
 //! A third optimisation targets *re-solves of the same design matrix*
 //! (Algorithm 1's alternating sweeps change only the `μφ(S_j)` blocks of
-//! the target between rounds): [`nomp_path_warm`] carries a [`WarmState`]
-//! across calls, replaying the previous pursuit's trajectory atom-by-atom
-//! with validation — each cached atom must still be the argmax under the
-//! new target, and a cached refit is reused only when its inputs match
-//! bit-for-bit — and maintaining the correlation vector `Aᵀr` by Gram
-//! downdates (`c ← c − Δη·G[:,j]`) instead of a full matrix scan per
-//! iteration, with periodic exact recomputes bounding drift.
+//! the target between rounds). The same engine takes an optional
+//! [`WarmState`]: without one the pursuit is cold and keeps nothing
+//! between calls; with one it replays the previous pursuit's trajectory
+//! atom-by-atom with validation — each cached atom must still be the
+//! argmax under the new target, and a cached refit is reused only when its
+//! inputs match bit-for-bit — and maintains the correlation vector `Aᵀr`
+//! by Gram downdates (`c ← c − Δη·G[:,j]`) instead of a full matrix scan
+//! per iteration, with periodic exact recomputes bounding drift.
 //!
 //! ```
 //! use comparesets_linalg::{nomp_path, Matrix, NompOptions, NompWorkspace};
@@ -55,12 +56,12 @@
 //! let ctl = SolveCtl::default();
 //!
 //! // One pursuit, every budget ℓ = 1..=2: path[l-1] is the budget-ℓ result.
-//! let path = nomp_path(&a, &b, NompOptions::with_max_atoms(2), &mut ws, ctl).unwrap();
+//! let path = nomp_path(&a, &b, NompOptions::with_max_atoms(2), &mut ws, None, ctl).unwrap();
 //! assert_eq!(path.len(), 2);
 //! assert!(path[1].sq_residual <= path[0].sq_residual + 1e-12);
 //!
 //! // Identical to a pursuit that stops at budget 1.
-//! let single = nomp_path(&a, &b, NompOptions::with_max_atoms(1), &mut ws, ctl).unwrap();
+//! let single = nomp_path(&a, &b, NompOptions::with_max_atoms(1), &mut ws, None, ctl).unwrap();
 //! assert_eq!(single[0].support, path[0].support);
 //! assert_eq!(single[0].x, path[0].x);
 //! ```
@@ -322,178 +323,12 @@ fn check_inputs<M: DesignMatrix>(a: &M, b: &[f64], opts: NompOptions) -> Result<
     Ok(())
 }
 
-/// Run one shared pursuit and return the results for **every** budget
-/// `ℓ = 1..=opts.max_atoms` (`path[l-1]` is the budget-`l` result).
-///
-/// Each entry is identical — same support, same coefficients, same
-/// residual — to the last entry of a pursuit run with `max_atoms = l`,
-/// because the pursuit's state evolution does not depend on the budget;
-/// only the stopping point does. Integer-Regression's ℓ-sweep thus costs
-/// one pursuit instead of m.
-///
-/// `ws` is reusable scratch (see [`NompWorkspace`]). `ctl` carries the
-/// optional metrics collector — iterations, refits, Gram-cache hits,
-/// budget snapshots and wall time are counted into it; with none, no
-/// atomic is touched and no clock is read — and the optional cancellation
-/// token, polled once per pursuit iteration and inside every NNLS refit.
-/// A fired token takes the same exit as the pursuit's "no progress"
-/// break — every still-pending budget receives the current (always
-/// feasible) state — so a cancelled pursuit returns `Ok` with its
-/// best-so-far path rather than an error; the caller decides whether that
-/// counts as a deadline failure.
-///
-/// # Errors
-/// [`LinalgError::DimensionMismatch`] when `b.len() != a.rows()`;
-/// [`LinalgError::InvalidArgument`] when `opts.max_atoms == 0`;
-/// [`LinalgError::NonFinite`] on NaN/Inf in `a` or `b`.
-pub fn nomp_path<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-    ctl: SolveCtl<'_>,
-) -> Result<Vec<NompResult>, LinalgError> {
-    pursuit(a, b, opts, ws, ctl)
-}
-
-/// Count one full correlation scan (`c = Aᵀr`) into `metrics`, classified
-/// by backend: sparse scans walk stored entries, dense scans run the
-/// chunked 4-lane kernels (whose full blocks land in `simd_blocks`).
-#[inline]
-fn count_corr_scan<M: DesignMatrix>(a: &M, residual: &[f64], metrics: Option<&SolverMetrics>) {
-    if let Some(mm) = metrics {
-        if a.is_sparse() {
-            SolverMetrics::incr(&mm.sparse_corr_scans);
-        } else {
-            SolverMetrics::incr(&mm.dense_corr_scans);
-            SolverMetrics::add(&mm.simd_blocks, a.tr_scan_simd_blocks(residual));
-        }
-    }
-}
-
-/// The cold pursuit engine behind [`nomp_path`].
-///
-/// A snapshot for budget `l` is taken at the first
-/// loop-condition check where that budget's stopping condition holds —
-/// `support.len() ≥ min(l, cols)` or the residual floor is reached. This is
-/// exactly where a standalone budget-`l` run exits its loop. Pruning may
-/// later shrink the support below `l` again; the snapshot stays, matching
-/// the standalone run. When the pursuit breaks out of the loop body (no
-/// positive correlation, the entering atom was pruned straight back out, or
-/// the residual stopped improving), every still-pending budget receives the
-/// current state — a standalone run at any such budget would have executed
-/// the identical step and broken identically.
-fn pursuit<M: DesignMatrix>(
-    a: &M,
-    b: &[f64],
-    opts: NompOptions,
-    ws: &mut NompWorkspace,
-    ctl: SolveCtl<'_>,
-) -> Result<Vec<NompResult>, LinalgError> {
-    let metrics = ctl.metrics;
-    check_inputs(a, b, opts)?;
-    let (m, n) = (a.rows(), a.cols());
-
-    // Observability seam: with `metrics` absent (the default) neither an
-    // atomic nor a clock is ever touched on this path, and the disabled
-    // span below costs one relaxed load.
-    if let Some(mm) = metrics {
-        SolverMetrics::incr(&mm.nomp_pursuits);
-    }
-    let pursuit_start = metrics.map(|_| std::time::Instant::now());
-    let span = tracing::trace_span!("nomp_pursuit", rows = m, cols = n, l_max = opts.max_atoms);
-    let _span_guard = span.enter();
-
-    ws.reset_norms(a)?;
-
-    ws.residual.copy_from_slice(b);
-    let mut sq_res = vector::dot(&ws.residual, &ws.residual);
-
-    let mut results: Vec<NompResult> = Vec::with_capacity(opts.max_atoms);
-
-    loop {
-        if ws.record_budgets(&mut results, opts, sq_res, metrics) {
-            break;
-        }
-
-        // Cooperative cancellation: polled once per pursuit iteration.
-        // A fired token takes the same exit as "no progress" below, so the
-        // post-loop fill hands every pending budget the current feasible
-        // state (anytime semantics).
-        if ctl.is_cancelled() {
-            break;
-        }
-
-        // Correlations of all columns with the residual.
-        count_corr_scan(a, &ws.residual, metrics);
-        let corr = a.tr_matvec(&ws.residual)?;
-        let mut best_j = None;
-        let mut best_c = 0.0_f64;
-        for (j, &cj) in corr.iter().enumerate() {
-            if ws.in_support[j] || ws.col_norms[j] == 0.0 {
-                continue;
-            }
-            let c = cj / ws.col_norms[j];
-            if c > best_c {
-                best_c = c;
-                best_j = Some(j);
-            }
-        }
-        let Some(j_star) = best_j else {
-            break; // No positively correlated column remains.
-        };
-        if let Some(mm) = metrics {
-            SolverMetrics::incr(&mm.nomp_iterations);
-            // Every refit after the first reuses the incrementally
-            // maintained Gram instead of rebuilding it from the design
-            // matrix — that reuse is what the cache counter measures.
-            if !ws.support.is_empty() {
-                SolverMetrics::incr(&mm.gram_cache_hits);
-            }
-        }
-
-        // Enter j_star: extend the cached Gram and Aᵀb by one atom.
-        if let Some(mm) = metrics {
-            if a.is_sparse() {
-                // CSC `column_dot` is a merge-join over the two columns'
-                // stored entries — a sparse Gram build, not a dense dot.
-                SolverMetrics::incr(&mm.sparse_gram_builds);
-            }
-        }
-        let mut new_row: Vec<f64> = ws
-            .support
-            .iter()
-            .map(|&k| a.column_dot(k, j_star))
-            .collect();
-        new_row.push(a.column_dot(j_star, j_star));
-        ws.enter(j_star, new_row, a.column_dot_vec(j_star, b));
-
-        let x_sub = ws.refit(ctl)?;
-        // Prune zeroed atoms (keeps the support meaningful).
-        let pruned_entering = ws.apply_refit(&x_sub);
-        let new_sq = ws.update_residual(a, b)?;
-        let improved = sq_res - new_sq > opts.min_relative_improvement * sq_res.max(1e-30);
-        sq_res = new_sq;
-        if pruned_entering || !improved {
-            break; // No progress possible.
-        }
-    }
-
-    // A break above ends every budget not yet recorded at the current
-    // state.
-    ws.fill_budgets(&mut results, opts, sq_res, metrics);
-    if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
-        SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
-    }
-    Ok(results)
-}
-
-/// Iterations between exact `Aᵀr` recomputes in the warm engine: the
+/// Iterations between exact `Aᵀr` recomputes in a warm pursuit: the
 /// downdated correlations accumulate one rounding's worth of drift per
 /// refit, so a short period keeps them within a few ulps of exact.
 const CORR_RECOMPUTE_PERIOD: u64 = 8;
 
-/// Relative residual floor (vs `‖b‖²`) below which the warm engine always
+/// Relative residual floor (vs `‖b‖²`) below which a warm pursuit always
 /// recomputes `Aᵀr` exactly: near a perfect fit the correlations are tiny
 /// differences of large downdates, where absolute drift dominates the
 /// signal and could mis-rank the argmax.
@@ -549,13 +384,13 @@ impl GramCol {
     }
 }
 
-/// Cross-call cache for [`nomp_path_warm`]: the previous completed
-/// pursuit's trajectory and path for one design matrix, plus lazily
-/// filled full Gram columns shared by replay validation and the
-/// incremental correlation downdates.
+/// Cross-call cache for [`nomp_path`]: the previous completed pursuit's
+/// trajectory and path for one design matrix, plus lazily filled full
+/// Gram columns shared by replay validation and the incremental
+/// correlation downdates.
 ///
 /// A state is self-validating against the matrix it is handed: every call
-/// recomputes the column norms (the same pass the cold engine makes) and
+/// recomputes the column norms (the same pass a cold pursuit makes) and
 /// a bitwise mismatch against the cached norms — or a shape change —
 /// conservatively drops every matrix-derived cache. Reusing one state
 /// across *different* matrices that collide on shape and column norms is
@@ -582,8 +417,6 @@ pub struct WarmState {
     path: Vec<NompResult>,
     /// Whether `target`/`steps`/`path` describe a completed pursuit.
     trajectory: bool,
-    /// Scratch: incrementally maintained correlations (within one call).
-    corr: Vec<f64>,
     /// Scratch: previous dense `x`, for the `Δx` downdates.
     x_prev: Vec<f64>,
 }
@@ -607,34 +440,143 @@ impl WarmState {
         self.trajectory = false;
     }
 
-    /// Would [`nomp_path_warm`] on `(b, opts)` take the full-reuse fast
-    /// path? True when a completed trajectory is cached under the same
-    /// options and a bit-equal target. The caller asserts the design
-    /// matrix is unchanged — this query skips the norm validation the
-    /// engine itself performs, so higher layers can skip *their own*
-    /// recomputation (rounding, candidate evaluation) too.
+    /// Would [`nomp_path`] with this state on `(b, opts)` take the
+    /// full-reuse fast path? True when a completed trajectory is cached
+    /// under the same options and a bit-equal target. The caller asserts
+    /// the design matrix is unchanged — this query skips the norm
+    /// validation the engine itself performs, so higher layers can skip
+    /// *their own* recomputation (rounding, candidate evaluation) too.
     pub fn full_reuse_ready(&self, b: &[f64], opts: NompOptions) -> bool {
         self.trajectory && self.opts == opts_key(opts) && self.target == b
     }
 
-    /// Count a full-reuse answered above the engine into `metrics`,
-    /// exactly as the engine's own fast path would: one pursuit, every
-    /// cached iteration as a warm-start hit, every path entry as a
-    /// snapshot, and no refits.
+    /// Count a full reuse into `metrics` as the engine's fast path does:
+    /// every cached iteration as a warm-start hit, every path entry as a
+    /// snapshot, and no refits. The pursuit itself is counted by whoever
+    /// answers it.
     pub fn record_full_reuse(&self, metrics: Option<&SolverMetrics>) {
         if let Some(mm) = metrics {
-            SolverMetrics::incr(&mm.nomp_pursuits);
             SolverMetrics::add(&mm.nomp_iterations, self.steps.len() as u64);
             SolverMetrics::add(&mm.warm_start_hits, self.steps.len() as u64);
             SolverMetrics::add(&mm.path_snapshots, self.path.len() as u64);
         }
     }
+
+    /// Check the state against the matrix whose column norms were just
+    /// computed: a shape or norm mismatch drops every matrix-derived
+    /// cache, an options change drops the trajectory.
+    fn validate(&mut self, shape: (usize, usize), col_norms: &[f64], opts: NompOptions) {
+        if self.shape != Some(shape) || self.col_norms != col_norms {
+            self.shape = Some(shape);
+            self.col_norms.clear();
+            self.col_norms.extend_from_slice(col_norms);
+            self.gram_cols.clear();
+            self.gram_cols.resize(shape.1, None);
+            self.trajectory = false;
+        }
+        if self.opts != opts_key(opts) {
+            self.opts = opts_key(opts);
+            self.trajectory = false;
+        }
+    }
+
+    /// Downdate `corr` by `c ← c − Δx_j·G[:,j]` for every atom whose
+    /// coefficient moved from `x_prev` to `x`, adding each update's
+    /// rounding bound to `corr_err`. Returns the number of columns applied.
+    fn downdate(&self, corr: &mut [f64], x: &[f64], corr_err: &mut f64) -> u64 {
+        let mut updates = 0u64;
+        for (j, (&xj, &pj)) in x.iter().zip(self.x_prev.iter()).enumerate() {
+            let dx = xj - pj;
+            if dx == 0.0 {
+                continue;
+            }
+            // Every atom with a coefficient entered some pursuit on this
+            // matrix, so its Gram column is cached. Only the stored
+            // non-zeros of `G[:,j]` are visited: a zero entry's update is
+            // an exact no-op (see [`GramCol`]), so the touched values —
+            // and hence the selections — are bitwise those of the
+            // full-column walk at a fraction of the cost on sparse
+            // instances.
+            if let Some(gcol) = self.gram_cols[j].as_ref() {
+                let mut gmax = 0.0_f64;
+                let mut cmax = 0.0_f64;
+                for &k in gcol.nnz.iter() {
+                    let g = gcol.values[k as usize];
+                    let cv = &mut corr[k as usize];
+                    *cv -= dx * g;
+                    gmax = gmax.max(g.abs());
+                    cmax = cmax.max(cv.abs());
+                }
+                // Per-entry rounding of `fl(c − fl(dx·g))`: one ulp of the
+                // product plus one of the difference, bounded by
+                // `ε·(|dx|·max|G[:,j]| + max|c|)` with a 2× safety factor
+                // (maxima over the touched entries — untouched ones incur
+                // zero rounding). The downdate is also one exact
+                // mathematical identity away from `Aᵀr`, so no model error
+                // enters — only these roundings.
+                *corr_err += 2.0 * f64::EPSILON * (dx.abs() * gmax + cmax);
+                updates += 1;
+            }
+        }
+        updates
+    }
+
+    /// Keep a completed pursuit's trajectory for the next call. A
+    /// cancelled pursuit only clears the cache: its path is a truncated
+    /// anytime state, not a completed answer.
+    fn store(&mut self, b: &[f64], steps: Vec<WarmStep>, path: &[NompResult], completed: bool) {
+        self.trajectory = completed;
+        self.target.clear();
+        if completed {
+            self.target.extend_from_slice(b);
+            self.steps = steps;
+            self.path = path.to_vec();
+        } else {
+            self.steps.clear();
+            self.path.clear();
+        }
+    }
 }
 
-/// [`nomp_path`] with a [`WarmState`] carried across calls against the
-/// same design matrix.
+/// Count one full correlation scan (`c = Aᵀr`) into `metrics`, classified
+/// by backend: sparse scans walk stored entries, dense scans run the
+/// chunked 4-lane kernels (whose full blocks land in `simd_blocks`).
+#[inline]
+fn count_corr_scan<M: DesignMatrix>(a: &M, residual: &[f64], metrics: Option<&SolverMetrics>) {
+    if let Some(mm) = metrics {
+        if a.is_sparse() {
+            SolverMetrics::incr(&mm.sparse_corr_scans);
+        } else {
+            SolverMetrics::incr(&mm.dense_corr_scans);
+            SolverMetrics::add(&mm.simd_blocks, a.tr_scan_simd_blocks(residual));
+        }
+    }
+}
+
+/// Run one shared pursuit and return the results for **every** budget
+/// `ℓ = 1..=opts.max_atoms` (`path[l-1]` is the budget-`l` result).
 ///
-/// Three levels of reuse, each validated rather than assumed:
+/// Each entry is identical — same support, same coefficients, same
+/// residual — to the last entry of a pursuit run with `max_atoms = l`,
+/// because the pursuit's state evolution does not depend on the budget;
+/// only the stopping point does. Integer-Regression's ℓ-sweep thus costs
+/// one pursuit instead of m. A snapshot for budget `l` is taken at the
+/// first loop-condition check where that budget's stopping condition
+/// holds — `support.len() ≥ min(l, cols)` or the residual floor is
+/// reached — exactly where a standalone budget-`l` run exits its loop.
+/// Pruning may later shrink the support below `l` again; the snapshot
+/// stays, matching the standalone run. When the pursuit breaks out of the
+/// loop body (no positive correlation, the entering atom was pruned
+/// straight back out, or the residual stopped improving), every
+/// still-pending budget receives the current state — a standalone run at
+/// any such budget would have executed the identical step and broken
+/// identically.
+///
+/// `ws` is reusable scratch (see [`NompWorkspace`]). With `warm` = `None`
+/// the pursuit is cold: an exact `Aᵀr` scan every iteration, and nothing
+/// kept between calls. A [`WarmState`] carried across calls against the
+/// same design matrix adds three levels of reuse, each validated rather
+/// than assumed, and never changes a result:
 ///
 /// 1. **Full-target reuse.** If the cached trajectory was completed under
 ///    the same options and a bit-equal target (and the matrix validates),
@@ -645,39 +587,52 @@ impl WarmState {
 ///    refit's `Aᵀb` inputs match the cached step bit-for-bit, the cached
 ///    refit output is reused (NNLS on identical inputs is deterministic).
 ///    The first mismatch truncates the replay — counted once in
-///    `warm_start_truncations` — and the pursuit continues cold.
-/// 3. **Incremental correlations.** Executed iterations maintain `Aᵀr`
-///    by Gram downdates (`c ← c − Δx_j·G[:,j]`) instead of a full
-///    `O(nnz)` scan. Downdated values drift from the exact `Aᵀr` in the
-///    low-order bits, so the engine carries a conservative absolute
-///    error bound alongside them: an argmax is only accepted when its
-///    winner beats both the runner-up and the zero stopping threshold
-///    by more than twice the bound (normalised by the smallest positive
-///    column norm) — otherwise the correlations collapse to an exact
-///    recompute and the scan reruns on cold-identical floats. Combined
-///    with the periodic refresh every `CORR_RECOMPUTE_PERIOD`
-///    iterations and the near-floor safety recompute, every atom choice
-///    is provably the cold engine's choice, not just probably
-///    (additionally pinned by `warm_engine_matches_cold_engine_exactly`
-///    and the full-scale eval regeneration).
+///    `warm_start_truncations` — and the pursuit continues without it.
+/// 3. **Incremental correlations.** Iterations maintain `Aᵀr` by Gram
+///    downdates (`c ← c − Δx_j·G[:,j]`) instead of a full `O(nnz)` scan.
+///    Downdated values drift from the exact `Aᵀr` in the low-order bits,
+///    so the engine carries a conservative absolute error bound alongside
+///    them: an argmax is only accepted when its winner beats both the
+///    runner-up and the zero stopping threshold by more than twice the
+///    bound (normalised by the smallest positive column norm) — otherwise
+///    the correlations collapse to an exact recompute and the scan reruns
+///    on cold-identical floats. Combined with the periodic refresh every
+///    `CORR_RECOMPUTE_PERIOD` iterations and the near-floor safety
+///    recompute, every atom choice is provably the cold choice, not just
+///    probably (additionally pinned by
+///    `warm_engine_matches_cold_engine_exactly` and the full-scale eval
+///    regeneration).
 ///
-/// A cancelled pursuit never populates the trajectory cache: its path is
-/// a truncated anytime state, not a completed answer.
+/// `ctl` carries the optional metrics collector — iterations, refits,
+/// Gram-cache hits, budget snapshots and wall time are counted into it;
+/// with none, no atomic is touched and no clock is read — and the
+/// optional cancellation token, polled once per pursuit iteration and
+/// inside every NNLS refit. A fired token takes the same exit as the
+/// pursuit's "no progress" break — every still-pending budget receives
+/// the current (always feasible) state — so a cancelled pursuit returns
+/// `Ok` with its best-so-far path rather than an error; the caller
+/// decides whether that counts as a deadline failure. A cancelled pursuit
+/// never populates the trajectory cache.
 ///
 /// # Errors
-/// As [`nomp_path`].
-pub fn nomp_path_warm<M: DesignMatrix>(
+/// [`LinalgError::DimensionMismatch`] when `b.len() != a.rows()`;
+/// [`LinalgError::InvalidArgument`] when `opts.max_atoms == 0`;
+/// [`LinalgError::NonFinite`] on NaN/Inf in `a` or `b`.
+pub fn nomp_path<M: DesignMatrix>(
     a: &M,
     b: &[f64],
     opts: NompOptions,
     ws: &mut NompWorkspace,
-    warm: &mut WarmState,
+    mut warm: Option<&mut WarmState>,
     ctl: SolveCtl<'_>,
 ) -> Result<Vec<NompResult>, LinalgError> {
     let metrics = ctl.metrics;
     check_inputs(a, b, opts)?;
     let (m, n) = (a.rows(), a.cols());
 
+    // Observability seam: with `metrics` absent (the default) neither an
+    // atomic nor a clock is ever touched on this path, and the disabled
+    // span below costs one relaxed load.
     if let Some(mm) = metrics {
         SolverMetrics::incr(&mm.nomp_pursuits);
     }
@@ -685,94 +640,88 @@ pub fn nomp_path_warm<M: DesignMatrix>(
     let span = tracing::trace_span!("nomp_pursuit", rows = m, cols = n, l_max = opts.max_atoms);
     let _span_guard = span.enter();
 
-    // Same norm pass as the cold engine — and the warm state's validation
-    // gate: a bitwise mismatch against the cached norms means the matrix
-    // changed, which conservatively drops every matrix-derived cache.
+    // The norm pass doubles as the warm state's validation gate.
     ws.reset_norms(a)?;
-    if warm.shape != Some((m, n)) || warm.col_norms != ws.col_norms {
-        warm.shape = Some((m, n));
-        warm.col_norms.clear();
-        warm.col_norms.extend_from_slice(&ws.col_norms);
-        warm.gram_cols.clear();
-        warm.gram_cols.resize(n, None);
-        warm.trajectory = false;
-    }
-    if warm.opts != opts_key(opts) {
-        warm.opts = opts_key(opts);
-        warm.trajectory = false;
-    }
-
-    // Level 1: full-target reuse.
-    if warm.trajectory && warm.target == b {
-        if let Some(mm) = metrics {
-            SolverMetrics::add(&mm.nomp_iterations, warm.steps.len() as u64);
-            SolverMetrics::add(&mm.warm_start_hits, warm.steps.len() as u64);
-            SolverMetrics::add(&mm.path_snapshots, warm.path.len() as u64);
+    if let Some(w) = warm.as_deref_mut() {
+        w.validate((m, n), &ws.col_norms, opts);
+        // Level 1: full-target reuse.
+        if w.full_reuse_ready(b, opts) {
+            w.record_full_reuse(metrics);
+            let out = w.path.clone();
+            if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
+                SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
+            }
+            return Ok(out);
         }
-        let out = warm.path.clone();
-        if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
-            SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
-        }
-        return Ok(out);
     }
 
     ws.residual.copy_from_slice(b);
     let mut sq_res = vector::dot(&ws.residual, &ws.residual);
     let sq_b = sq_res;
-
-    // Exact correlations at pursuit start; downdated thereafter.
-    count_corr_scan(a, &ws.residual, metrics);
-    warm.corr = a.tr_matvec(&ws.residual)?;
-    warm.x_prev.clear();
-    warm.x_prev.resize(n, 0.0);
-
-    // Replay cursor into the cached trajectory; `None` once truncated (or
-    // when no trajectory is cached / the cached one is exhausted).
-    let mut replay: Option<usize> = warm.trajectory.then_some(0);
-    let mut new_steps: Vec<WarmStep> = Vec::new();
-    let mut cancelled = false;
-    let mut since_exact: u64 = 0;
-    // Absolute error bound on the downdated correlations versus the exact
-    // `Aᵀr`; zero right after any exact recompute. The argmax below only
-    // trusts the downdated values when the decision margin exceeds this
-    // bound — that is what pins warm atom choices bitwise to cold ones.
-    let mut corr_err: f64 = 0.0;
-    let norm_min = ws
-        .col_norms
-        .iter()
-        .copied()
-        .filter(|&v| v > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    let norm_max = ws.col_norms.iter().copied().fold(0.0_f64, f64::max);
-
     let mut results: Vec<NompResult> = Vec::with_capacity(opts.max_atoms);
 
+    // Correlations `Aᵀr` of every column with the residual. A cold pursuit
+    // scans them exactly at the top of every iteration; a warm one scans
+    // once here and then downdates them (level 3), carrying `corr_err`, an
+    // absolute error bound against the exact values that is zero right
+    // after any exact scan.
+    let mut corr: Vec<f64> = Vec::new();
+    let mut corr_err = 0.0_f64;
+    let mut since_exact: u64 = 0;
+    let (mut norm_min, mut norm_max) = (f64::INFINITY, 0.0_f64);
+    // Level 2 replay cursor into the cached trajectory; `None` once
+    // truncated or exhausted, or when no trajectory is cached.
+    let mut replay: Option<usize> = None;
+    let mut new_steps: Vec<WarmStep> = Vec::new();
+    if let Some(w) = warm.as_deref_mut() {
+        count_corr_scan(a, &ws.residual, metrics);
+        corr = a.tr_matvec(&ws.residual)?;
+        w.x_prev.clear();
+        w.x_prev.resize(n, 0.0);
+        replay = w.trajectory.then_some(0);
+        for &v in &ws.col_norms {
+            if v > 0.0 {
+                norm_min = norm_min.min(v);
+            }
+            norm_max = norm_max.max(v);
+        }
+    }
+    let mut cancelled = false;
+
     loop {
-        // Budget checkpoints, identical to the cold engine.
         if ws.record_budgets(&mut results, opts, sq_res, metrics) {
             break;
         }
 
+        // Cooperative cancellation: polled once per pursuit iteration.
+        // A fired token takes the same exit as "no progress" below, so the
+        // post-loop fill hands every pending budget the current feasible
+        // state (anytime semantics).
         if ctl.is_cancelled() {
             cancelled = true;
             break;
         }
 
-        // Argmax over the incrementally maintained correlations. The
-        // decision is accepted only when it is *provably* the cold
-        // engine's decision: each downdated entry is within `corr_err` of
-        // the exact `Aᵀr` entry, so a winner that clears the runner-up
-        // and the zero stopping threshold by more than `2·corr_err /
-        // norm_min` wins under the exact values too (the cold argmax
-        // breaks ties towards the lower index with a strict `>`, and a
-        // super-margin winner never ties). Anything closer collapses to
-        // an exact recompute and a rescan on cold-identical floats.
+        if warm.is_none() {
+            count_corr_scan(a, &ws.residual, metrics);
+            corr = a.tr_matvec(&ws.residual)?;
+        }
+
+        // Argmax of the normalised correlations. Exact correlations
+        // (`corr_err == 0`) always decide. Downdated ones decide only when
+        // the decision is *provably* the exact one: each entry is within
+        // `corr_err` of the exact `Aᵀr` entry, so a winner that clears the
+        // runner-up and the zero stopping threshold by more than
+        // `2·corr_err / norm_min` wins under the exact values too (the
+        // argmax breaks ties towards the lower index with a strict `>`,
+        // and a super-margin winner never ties). Anything closer collapses
+        // to an exact recompute and a rescan on cold-identical floats.
         let mut best_j = None;
         for _attempt in 0..2 {
             best_j = None;
             let mut best_c = 0.0_f64;
             let mut runner_c = 0.0_f64;
-            for (j, &cj) in warm.corr.iter().enumerate() {
+            for (j, &cj) in corr.iter().enumerate() {
                 if ws.in_support[j] || ws.col_norms[j] == 0.0 {
                     continue;
                 }
@@ -792,7 +741,7 @@ pub fn nomp_path_warm<M: DesignMatrix>(
                 break;
             }
             count_corr_scan(a, &ws.residual, metrics);
-            warm.corr = a.tr_matvec(&ws.residual)?;
+            corr = a.tr_matvec(&ws.residual)?;
             corr_err = 0.0;
             since_exact = 0;
             if let Some(mm) = metrics {
@@ -800,12 +749,12 @@ pub fn nomp_path_warm<M: DesignMatrix>(
             }
         }
         let Some(j_star) = best_j else {
-            break;
+            break; // No positively correlated column remains.
         };
 
         // Replay validation: the cached atom must still be the argmax.
-        if let Some(k) = replay {
-            match warm.steps.get(k) {
+        if let (Some(k), Some(w)) = (replay, warm.as_deref()) {
+            match w.steps.get(k) {
                 Some(step) if step.entered == j_star => {}
                 Some(_) => {
                     replay = None;
@@ -819,37 +768,50 @@ pub fn nomp_path_warm<M: DesignMatrix>(
                 None => replay = None,
             }
         }
-
         if let Some(mm) = metrics {
             SolverMetrics::incr(&mm.nomp_iterations);
         }
 
-        // Enter j_star. The full Gram column serves both the refit row
-        // extension and the later downdates; fill it once per atom and
-        // keep it across calls.
-        if warm.gram_cols[j_star].is_none() {
-            if let Some(mm) = metrics {
-                if a.is_sparse() {
-                    SolverMetrics::incr(&mm.sparse_gram_builds);
-                }
+        // Enter j_star: extend the cached Gram and Aᵀb by one atom. A cold
+        // pursuit takes the `s + 1` column dot products the new Gram row
+        // needs; a warm one fills the full Gram column once per atom,
+        // which also serves the downdates and later calls.
+        let gram_col = warm.as_deref_mut().map(|w| &mut w.gram_cols[j_star]);
+        let cached = gram_col.as_ref().is_some_and(|c| c.is_some());
+        if let Some(mm) = metrics {
+            if a.is_sparse() && !cached {
+                // CSC `column_dot` is a merge-join over the two columns'
+                // stored entries — a sparse Gram build, not a dense dot.
+                SolverMetrics::incr(&mm.sparse_gram_builds);
             }
-            let g: Vec<f64> = (0..n).map(|k| a.column_dot(k, j_star)).collect();
-            warm.gram_cols[j_star] = Some(GramCol::new(g));
         }
-        let mut new_row: Vec<f64> = Vec::with_capacity(ws.support.len() + 1);
-        if let Some(gcol) = warm.gram_cols[j_star].as_ref() {
-            new_row.extend(ws.support.iter().map(|&k| gcol.values[k]));
-            new_row.push(gcol.values[j_star]);
-        }
+        let new_row: Vec<f64> = match gram_col {
+            Some(slot) => {
+                let col = slot.get_or_insert_with(|| {
+                    GramCol::new((0..n).map(|k| a.column_dot(k, j_star)).collect())
+                });
+                ws.support
+                    .iter()
+                    .chain([&j_star])
+                    .map(|&k| col.values[k])
+                    .collect()
+            }
+            None => ws
+                .support
+                .iter()
+                .chain([&j_star])
+                .map(|&k| a.column_dot(k, j_star))
+                .collect(),
+        };
         ws.enter(j_star, new_row, a.column_dot_vec(j_star, b));
-        // Snapshot the refit inputs before pruning compacts them — this is
-        // what the next call's replay compares against.
-        let step_atb = ws.atb.clone();
 
-        // Refit — memoized when the cached step's inputs match exactly.
+        // A warm pursuit records the refit inputs before pruning compacts
+        // them — what the next call's replay compares against — and
+        // reuses the cached step's refit while those inputs match exactly.
+        let step_atb = warm.is_some().then(|| ws.atb.clone());
         let mut cached_x: Option<Vec<f64>> = None;
-        if let Some(k) = replay {
-            if let Some(step) = warm.steps.get(k) {
+        if let (Some(k), Some(w)) = (replay, warm.as_deref()) {
+            if let Some(step) = w.steps.get(k) {
                 if step.atb == ws.atb {
                     cached_x = Some(step.x_sub.clone());
                 } else {
@@ -869,6 +831,10 @@ pub fn nomp_path_warm<M: DesignMatrix>(
                 x
             }
             None => {
+                // Every refit after a pursuit's first reuses the
+                // incrementally maintained Gram instead of rebuilding it
+                // from the design matrix — that reuse is what the cache
+                // counter measures.
                 if let Some(mm) = metrics {
                     if ws.support.len() > 1 {
                         SolverMetrics::incr(&mm.gram_cache_hits);
@@ -878,116 +844,73 @@ pub fn nomp_path_warm<M: DesignMatrix>(
             }
         };
 
-        // Prune and compact, identical to the cold engine.
+        // Prune zeroed atoms (keeps the support meaningful).
         let pruned_entering = ws.apply_refit(&x_sub);
-        new_steps.push(WarmStep {
-            entered: j_star,
-            atb: step_atb,
-            x_sub,
-        });
-
-        // Residual update, identical to the cold engine — the stopping
-        // decisions below see exactly the floats a cold run would.
+        if let Some(atb) = step_atb {
+            new_steps.push(WarmStep {
+                entered: j_star,
+                atb,
+                x_sub,
+            });
+        }
         let new_sq = ws.update_residual(a, b)?;
 
-        // Correlation maintenance: downdate `c ← c − Δx_j·G[:,j]` over the
-        // atoms whose coefficient changed, with exact recomputes bounding
-        // drift (periodic, plus the near-perfect-fit safety floor where
-        // the downdated values would be cancellation-dominated).
-        since_exact += 1;
-        let near_floor =
-            new_sq <= CORR_SAFETY_FLOOR * sq_b.max(1e-30) || new_sq <= opts.residual_tolerance;
-        if since_exact >= CORR_RECOMPUTE_PERIOD || near_floor {
-            count_corr_scan(a, &ws.residual, metrics);
-            warm.corr = a.tr_matvec(&ws.residual)?;
-            since_exact = 0;
-            corr_err = 0.0;
-            if let Some(mm) = metrics {
-                SolverMetrics::incr(&mm.corr_exact_recomputes);
-            }
-        } else {
-            let mut updates = 0u64;
-            for j in 0..n {
-                let dx = ws.x[j] - warm.x_prev[j];
-                if dx == 0.0 {
-                    continue;
+        // Warm correlation maintenance: downdate over the atoms whose
+        // coefficient changed, with exact recomputes bounding drift
+        // (periodic, plus the near-perfect-fit safety floor where the
+        // downdated values would be cancellation-dominated).
+        if let Some(w) = warm.as_deref_mut() {
+            since_exact += 1;
+            let near_floor =
+                new_sq <= CORR_SAFETY_FLOOR * sq_b.max(1e-30) || new_sq <= opts.residual_tolerance;
+            if since_exact >= CORR_RECOMPUTE_PERIOD || near_floor {
+                count_corr_scan(a, &ws.residual, metrics);
+                corr = a.tr_matvec(&ws.residual)?;
+                since_exact = 0;
+                corr_err = 0.0;
+                if let Some(mm) = metrics {
+                    SolverMetrics::incr(&mm.corr_exact_recomputes);
                 }
-                // Every atom with a coefficient entered some pursuit on
-                // this matrix, so its Gram column is cached. Only the
-                // stored non-zeros of `G[:,j]` are visited: a zero entry's
-                // update is an exact no-op (see [`GramCol`]), so the
-                // touched values — and hence the selections — are bitwise
-                // those of the full-column walk at a fraction of the cost
-                // on sparse instances.
-                if let Some(gcol) = warm.gram_cols[j].as_ref() {
-                    let mut gmax = 0.0_f64;
-                    let mut cmax = 0.0_f64;
-                    for &k in gcol.nnz.iter() {
-                        let g = gcol.values[k as usize];
-                        let cv = &mut warm.corr[k as usize];
-                        *cv -= dx * g;
-                        gmax = gmax.max(g.abs());
-                        cmax = cmax.max(cv.abs());
-                    }
-                    // Per-entry rounding of `fl(c − fl(dx·g))`: one ulp
-                    // of the product plus one of the difference, bounded
-                    // by `ε·(|dx|·max|G[:,j]| + max|c|)` with a 2×
-                    // safety factor (maxima over the touched entries —
-                    // untouched ones incur zero rounding). The downdate
-                    // is also one exact mathematical identity away from
-                    // `Aᵀr`, so no model error enters — only these
-                    // roundings.
-                    corr_err += 2.0 * f64::EPSILON * (dx.abs() * gmax + cmax);
-                    updates += 1;
+            } else {
+                let updates = w.downdate(&mut corr, &ws.x, &mut corr_err);
+                if let Some(mm) = metrics {
+                    SolverMetrics::add(&mm.corr_incremental_updates, updates);
                 }
+                // An exact scan recomputes `Aᵀr` from a freshly rounded
+                // residual each iteration, so beyond the downdate
+                // roundings the drift also covers (a) the two residual
+                // vectors' own rounding (`r = fl(b − fl(Ax))` at both ends
+                // of the downdate identity) projected through any column,
+                // and (b) the summation rounding of the exact-path dot
+                // products. All are `O(ε·m·‖col‖·‖r‖)`-sized; a generous
+                // multiple is added per iteration (over-conservatism only
+                // costs an extra exact recompute on a near-tie, never
+                // correctness).
+                corr_err += f64::EPSILON
+                    * (m as f64)
+                    * norm_max
+                    * (2.0 * sq_b.sqrt() + 2.0 * sq_res.sqrt() + 3.0 * new_sq.sqrt());
             }
-            if let Some(mm) = metrics {
-                SolverMetrics::add(&mm.corr_incremental_updates, updates);
-            }
-            // The cold engine recomputes `Aᵀr` from a freshly rounded
-            // residual each iteration, so beyond the downdate roundings
-            // above the drift also covers (a) the two residual vectors'
-            // own rounding (`r = fl(b − fl(Ax))` at both ends of the
-            // downdate identity) projected through any column, and (b)
-            // the summation rounding of the exact-path dot products.
-            // All are `O(ε·m·‖col‖·‖r‖)`-sized; a generous multiple is
-            // added per iteration (over-conservatism only costs an extra
-            // exact recompute on a near-tie, never correctness).
-            corr_err += f64::EPSILON
-                * (m as f64)
-                * norm_max
-                * (2.0 * sq_b.sqrt() + 2.0 * sq_res.sqrt() + 3.0 * new_sq.sqrt());
+            w.x_prev.copy_from_slice(&ws.x);
         }
-        warm.x_prev.copy_from_slice(&ws.x);
 
         let improved = sq_res - new_sq > opts.min_relative_improvement * sq_res.max(1e-30);
         sq_res = new_sq;
         if pruned_entering || !improved {
-            break;
+            break; // No progress possible.
         }
     }
 
+    // A break above ends every budget not yet recorded at the current
+    // state.
     ws.fill_budgets(&mut results, opts, sq_res, metrics);
-
-    // Store the new trajectory — but never from a cancelled pursuit, whose
-    // path is a truncated anytime state rather than a completed answer.
-    // The non-consuming peek also catches a token that fired *inside* an
-    // NNLS refit (degrading that refit's fit) without reaching the
-    // pursuit-level poll again before the loop ended.
-    let cancelled = cancelled || ctl.cancel.is_some_and(CancelToken::fired);
-    if cancelled {
-        warm.trajectory = false;
-        warm.target.clear();
-        warm.steps.clear();
-        warm.path.clear();
-    } else {
-        warm.trajectory = true;
-        warm.target.clear();
-        warm.target.extend_from_slice(b);
-        warm.steps = new_steps;
-        warm.path = results.clone();
+    if let Some(w) = warm {
+        // The non-consuming peek also catches a token that fired *inside*
+        // an NNLS refit (degrading that refit's fit) without reaching the
+        // pursuit-level poll again before the loop ended.
+        let completed = !cancelled && !ctl.cancel.is_some_and(CancelToken::fired);
+        w.store(b, new_steps, &results, completed);
     }
-
     if let (Some(mm), Some(t)) = (metrics, pursuit_start) {
         SolverMetrics::add_time(&mm.pursuit_nanos, t.elapsed());
     }
@@ -1106,7 +1029,14 @@ mod tests {
         b: &[f64],
         o: NompOptions,
     ) -> Result<Vec<NompResult>, LinalgError> {
-        nomp_path(a, b, o, &mut NompWorkspace::new(), SolveCtl::default())
+        nomp_path(
+            a,
+            b,
+            o,
+            &mut NompWorkspace::new(),
+            None,
+            SolveCtl::default(),
+        )
     }
 
     /// The single-budget result: the last entry of the budget path.
@@ -1337,9 +1267,10 @@ mod tests {
         let fresh1 = cold_path(&a1, &b1, opts(4)).unwrap();
         let fresh2 = cold_path(&a2, &b2, opts(4)).unwrap();
         // Interleave differently shaped problems through one workspace.
-        let reused1 = nomp_path(&a1, &b1, opts(4), &mut ws, SolveCtl::default()).unwrap();
-        let reused2 = nomp_path(&a2, &b2, opts(4), &mut ws, SolveCtl::default()).unwrap();
-        let reused1_again = nomp_path(&a1, &b1, opts(4), &mut ws, SolveCtl::default()).unwrap();
+        let reused1 = nomp_path(&a1, &b1, opts(4), &mut ws, None, SolveCtl::default()).unwrap();
+        let reused2 = nomp_path(&a2, &b2, opts(4), &mut ws, None, SolveCtl::default()).unwrap();
+        let reused1_again =
+            nomp_path(&a1, &b1, opts(4), &mut ws, None, SolveCtl::default()).unwrap();
         assert_paths_bit_equal(&fresh1, &reused1, "first problem");
         assert_paths_bit_equal(&fresh2, &reused2, "second problem");
         assert_paths_bit_equal(&fresh1, &reused1_again, "first problem again");
@@ -1365,7 +1296,7 @@ mod tests {
         ws: &mut NompWorkspace,
         warm: &mut WarmState,
     ) -> Vec<NompResult> {
-        nomp_path_warm(a, b, opts(l), ws, warm, SolveCtl::default()).unwrap()
+        nomp_path(a, b, opts(l), ws, Some(warm), SolveCtl::default()).unwrap()
     }
 
     fn assert_paths_bit_equal(lhs: &[NompResult], rhs: &[NompResult], what: &str) {
@@ -1421,11 +1352,11 @@ mod tests {
         let (a, b) = random_instance(12, 9, 5);
         let mut ws = NompWorkspace::new();
         let mut warm = WarmState::new();
-        let first = nomp_path_warm(&a, &b, opts(5), &mut ws, &mut warm, ctl).unwrap();
+        let first = nomp_path(&a, &b, opts(5), &mut ws, Some(&mut warm), ctl).unwrap();
         let after_first = metrics.snapshot();
         assert!(warm.full_reuse_ready(&b, opts(5)));
         assert!(!warm.full_reuse_ready(&b, opts(4)), "options are keyed");
-        let second = nomp_path_warm(&a, &b, opts(5), &mut ws, &mut warm, ctl).unwrap();
+        let second = nomp_path(&a, &b, opts(5), &mut ws, Some(&mut warm), ctl).unwrap();
         let snap = metrics.snapshot();
         assert_paths_bit_equal(&first, &second, "full reuse");
         assert_eq!(snap.nnls_refits, after_first.nnls_refits, "no refit ran");
@@ -1480,17 +1411,24 @@ mod tests {
         let ctl = SolveCtl::metered(Some(&metrics));
         let mut ws = NompWorkspace::new();
         let mut warm = WarmState::new();
-        let _ = nomp_path_warm(&a1, &b, opts(4), &mut ws, &mut warm, ctl).unwrap();
+        let _ = nomp_path(&a1, &b, opts(4), &mut ws, Some(&mut warm), ctl).unwrap();
         let cold = cold_path(&a2, &b, opts(4)).unwrap();
-        let switched = nomp_path_warm(&a2, &b, opts(4), &mut ws, &mut warm, ctl).unwrap();
+        let switched = nomp_path(&a2, &b, opts(4), &mut ws, Some(&mut warm), ctl).unwrap();
         assert_paths_bit_equal(&cold, &switched, "matrix switch");
         // The stale trajectory was invalidated, not truncated mid-replay.
         assert_eq!(metrics.snapshot().warm_start_truncations, 0);
         // And differently-shaped problems reuse the same state safely.
         let (a3, b3) = random_instance(7, 12, 3);
         let cold3 = cold_path(&a3, &b3, opts(4)).unwrap();
-        let warm3 =
-            nomp_path_warm(&a3, &b3, opts(4), &mut ws, &mut warm, SolveCtl::default()).unwrap();
+        let warm3 = nomp_path(
+            &a3,
+            &b3,
+            opts(4),
+            &mut ws,
+            Some(&mut warm),
+            SolveCtl::default(),
+        )
+        .unwrap();
         assert_paths_bit_equal(&cold3, &warm3, "shape switch");
     }
 
@@ -1503,7 +1441,7 @@ mod tests {
         // Fire after one poll: the pursuit stops with a truncated path.
         let token = CancelToken::cancel_after(1);
         let ctl = SolveCtl::new(None, Some(&token));
-        let truncated = nomp_path_warm(&a, &b, opts(5), &mut ws, &mut warm, ctl).unwrap();
+        let truncated = nomp_path(&a, &b, opts(5), &mut ws, Some(&mut warm), ctl).unwrap();
         assert!(!warm.full_reuse_ready(&b, opts(5)));
         // The next (uncancelled) call must compute the real answer, not
         // echo the truncated state.
@@ -1523,26 +1461,32 @@ mod tests {
             (&bad, &[1.0, 1.0][..], 1),
             (&Matrix::identity(2), &[1.0, f64::NAN][..], 1),
         ] {
-            let r = nomp_path_warm(
+            let r = nomp_path(
                 matrix,
                 rhs,
                 opts(l),
                 &mut ws,
-                &mut warm,
+                Some(&mut warm),
                 SolveCtl::default(),
             );
             assert!(matches!(r, Err(LinalgError::NonFinite { .. })));
         }
         let a = Matrix::identity(2);
-        assert!(
-            nomp_path_warm(&a, &[1.0], opts(1), &mut ws, &mut warm, SolveCtl::default()).is_err()
-        );
-        assert!(nomp_path_warm(
+        assert!(nomp_path(
+            &a,
+            &[1.0],
+            opts(1),
+            &mut ws,
+            Some(&mut warm),
+            SolveCtl::default()
+        )
+        .is_err());
+        assert!(nomp_path(
             &a,
             &[1.0, 1.0],
             opts(0),
             &mut ws,
-            &mut warm,
+            Some(&mut warm),
             SolveCtl::default()
         )
         .is_err());

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use comparesets_linalg::{
-    nomp_path, nomp_path_warm, CscMatrix, Matrix, NompOptions, NompResult, NompWorkspace, WarmState,
+    nomp_path, CscMatrix, Matrix, NompOptions, NompResult, NompWorkspace, WarmState,
 };
 use comparesets_obs::SolveCtl;
 use rand::{Rng, SeedableRng};
@@ -57,13 +57,21 @@ fn cold_paths_agree_bitwise_across_densities() {
         let (a, b) = instance(48, 24, density, 0xC0FFEE + i as u64);
         let csc = CscMatrix::from_dense(&a, 0.0);
         let opts = NompOptions::with_max_atoms(5);
-        let dense =
-            nomp_path(&a, &b, opts, &mut NompWorkspace::new(), SolveCtl::default()).unwrap();
+        let dense = nomp_path(
+            &a,
+            &b,
+            opts,
+            &mut NompWorkspace::new(),
+            None,
+            SolveCtl::default(),
+        )
+        .unwrap();
         let sparse = nomp_path(
             &csc,
             &b,
             opts,
             &mut NompWorkspace::new(),
+            None,
             SolveCtl::default(),
         )
         .unwrap();
@@ -93,17 +101,25 @@ fn warm_paths_agree_bitwise_across_densities_and_reruns() {
                 target,
                 opts,
                 &mut NompWorkspace::new(),
+                None,
                 SolveCtl::default(),
             )
             .unwrap();
-            let d = nomp_path_warm(&a, target, opts, &mut ws, &mut warm_d, SolveCtl::default())
-                .unwrap();
-            let s = nomp_path_warm(
+            let d = nomp_path(
+                &a,
+                target,
+                opts,
+                &mut ws,
+                Some(&mut warm_d),
+                SolveCtl::default(),
+            )
+            .unwrap();
+            let s = nomp_path(
                 &csc,
                 target,
                 opts,
                 &mut ws,
-                &mut warm_s,
+                Some(&mut warm_s),
                 SolveCtl::default(),
             )
             .unwrap();

@@ -42,6 +42,7 @@ fn cancelled_at_entry_returns_feasible_empty_path() {
         &b,
         NompOptions::with_max_atoms(4),
         &mut ws,
+        None,
         SolveCtl::new(None, Some(&token)),
     )
     .unwrap();
@@ -61,13 +62,13 @@ fn never_firing_token_is_bit_identical_to_tokenless_path() {
     let (a, b) = instance();
     let opts = NompOptions::with_max_atoms(6);
     let mut ws = NompWorkspace::new();
-    let plain = nomp_path(&a, &b, opts, &mut ws, SolveCtl::default()).unwrap();
+    let plain = nomp_path(&a, &b, opts, &mut ws, None, SolveCtl::default()).unwrap();
 
     let token = CancelToken::new();
     let metrics = SolverMetrics::new();
     let mut ws2 = NompWorkspace::new();
     let ctl = SolveCtl::new(Some(&metrics), Some(&token));
-    let with_token = nomp_path(&a, &b, opts, &mut ws2, ctl).unwrap();
+    let with_token = nomp_path(&a, &b, opts, &mut ws2, None, ctl).unwrap();
 
     assert_eq!(plain.len(), with_token.len());
     for (p, t) in plain.iter().zip(with_token.iter()) {
@@ -85,7 +86,7 @@ fn mid_pursuit_cancellation_is_a_prefix_of_the_full_trajectory() {
     let (a, b) = instance();
     let opts = NompOptions::with_max_atoms(6);
     let mut ws = NompWorkspace::new();
-    let full = nomp_path(&a, &b, opts, &mut ws, SolveCtl::default()).unwrap();
+    let full = nomp_path(&a, &b, opts, &mut ws, None, SolveCtl::default()).unwrap();
 
     // Count the total polls of an uncancelled run, then replay every
     // possible kill point. cancel_after(k) pins the poll budget exactly.
@@ -97,6 +98,7 @@ fn mid_pursuit_cancellation_is_a_prefix_of_the_full_trajectory() {
         &b,
         opts,
         &mut ws_probe,
+        None,
         SolveCtl::new(Some(&metrics), Some(&probe)),
     )
     .unwrap();
@@ -106,7 +108,15 @@ fn mid_pursuit_cancellation_is_a_prefix_of_the_full_trajectory() {
     for k in 0..=total_checks {
         let token = CancelToken::cancel_after(k);
         let mut ws_k = NompWorkspace::new();
-        let path = nomp_path(&a, &b, opts, &mut ws_k, SolveCtl::new(None, Some(&token))).unwrap();
+        let path = nomp_path(
+            &a,
+            &b,
+            opts,
+            &mut ws_k,
+            None,
+            SolveCtl::new(None, Some(&token)),
+        )
+        .unwrap();
         assert_eq!(path.len(), full.len());
         for (l, r) in path.iter().enumerate() {
             // Feasibility: non-negative coefficients within the budget.

@@ -28,7 +28,14 @@ fn cold_path<M: DesignMatrix>(
     b: &[f64],
     opts: NompOptions,
 ) -> Result<Vec<NompResult>, SolveError> {
-    nomp_path(a, b, opts, &mut NompWorkspace::new(), SolveCtl::default())
+    nomp_path(
+        a,
+        b,
+        opts,
+        &mut NompWorkspace::new(),
+        None,
+        SolveCtl::default(),
+    )
 }
 
 /// Single-budget NOMP: the last entry of the budget path.

@@ -27,6 +27,7 @@ fn pursuit_counters_match_known_trajectory() {
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
+        None,
         SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();
@@ -64,6 +65,7 @@ fn metered_pursuit_returns_the_unmetered_result() {
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
+        None,
         SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();
@@ -72,6 +74,7 @@ fn metered_pursuit_returns_the_unmetered_result() {
         &b,
         NompOptions::with_max_atoms(2),
         &mut NompWorkspace::new(),
+        None,
         SolveCtl::default(),
     )
     .unwrap();
@@ -94,6 +97,7 @@ fn counters_accumulate_across_pursuits() {
             &b,
             NompOptions::with_max_atoms(2),
             &mut ws,
+            None,
             SolveCtl::metered(Some(&metrics)),
         )
         .unwrap();
@@ -128,6 +132,7 @@ fn dense_scan_counters_match_known_trajectory() {
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
+        None,
         SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();
@@ -155,6 +160,7 @@ fn sparse_scan_counters_match_known_trajectory() {
         &b,
         NompOptions::with_max_atoms(2),
         &mut ws,
+        None,
         SolveCtl::metered(Some(&metrics)),
     )
     .unwrap();

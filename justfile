@@ -226,10 +226,12 @@ sparse-smoke:
 
 # Smoke-size self-check of the end-to-end benchmark (BENCHMARK.json,
 # perfbench/): builds it against the workspace crates, runs every
-# workload traced and untraced, and checks names, units and answers
-# (mirrors the "Benchmark selfcheck" CI step).
+# workload traced and untraced, checks names, units and answers, then
+# runs the benchmark's unit tests (mirrors the "Benchmark selfcheck" CI
+# step).
 bench-selfcheck:
     python3 perfbench/selfcheck.py
+    cargo test --manifest-path perfbench/Cargo.toml -q
 
 # Refresh the performance baselines (updates BENCH_parallel_solver.json,
 # BENCH_serve.json, BENCH_sparse.json, BENCH_stream.json, and
