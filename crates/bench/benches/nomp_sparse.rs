@@ -15,7 +15,7 @@
 //! by `crates/bench/tests/schema.rs`, including the >=2x acceptance on
 //! the 16 000x80 headline workload.
 //!
-//! Setting `COMPARESETS_BENCH_SMOKE=1` (see `just sparse-smoke`) runs
+//! Setting `COMPARESETS_BENCH_SMOKE=1` (see `just bench-smoke`) runs
 //! one sample of one iteration per workload and skips the JSON report,
 //! so CI can exercise every bench body without touching the baseline.
 

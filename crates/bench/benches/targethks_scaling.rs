@@ -12,7 +12,7 @@
 //! (parallel closes more open cells or certifies a smaller mean gap, and
 //! both modes prove the same optimum wherever both close).
 //!
-//! Setting `COMPARESETS_BENCH_SMOKE=1` (see `just graph-smoke`) runs one
+//! Setting `COMPARESETS_BENCH_SMOKE=1` (see `just bench-smoke`) runs one
 //! sample of one iteration per workload and skips the JSON report, so CI
 //! can exercise every bench body without touching the committed baseline.
 

@@ -8,6 +8,36 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The checks every report shares: a non-empty bench name, at least one
+/// available thread, and at least one row (`row` names the kind), each
+/// with a non-empty name no other row repeats.
+fn check_identity<'a>(
+    bench: &str,
+    threads_available: usize,
+    row: &str,
+    names: impl Iterator<Item = &'a str>,
+) -> Result<(), String> {
+    if bench.is_empty() {
+        return Err("bench name is empty".to_string());
+    }
+    if threads_available == 0 {
+        return Err("threads_available must be at least 1".to_string());
+    }
+    let mut seen = std::collections::HashSet::new();
+    for name in names {
+        if name.is_empty() {
+            return Err(format!("a {row} has an empty name"));
+        }
+        if !seen.insert(name) {
+            return Err(format!("duplicate {row} name {name:?}"));
+        }
+    }
+    if seen.is_empty() {
+        return Err(format!("report has no {row}s"));
+    }
+    Ok(())
+}
+
 /// One timed workload of a bench run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Measurement {
@@ -39,23 +69,13 @@ impl BenchReport {
     /// # Errors
     /// A readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.bench.is_empty() {
-            return Err("bench name is empty".to_string());
-        }
-        if self.threads_available == 0 {
-            return Err("threads_available must be at least 1".to_string());
-        }
-        if self.measurements.is_empty() {
-            return Err("report has no measurements".to_string());
-        }
-        let mut seen = std::collections::HashSet::new();
+        check_identity(
+            &self.bench,
+            self.threads_available,
+            "measurement",
+            self.measurements.iter().map(|m| m.name.as_str()),
+        )?;
         for m in &self.measurements {
-            if m.name.is_empty() {
-                return Err("a measurement has an empty name".to_string());
-            }
-            if !seen.insert(m.name.as_str()) {
-                return Err(format!("duplicate measurement name {:?}", m.name));
-            }
             if !(m.seconds_min.is_finite() && m.seconds_min > 0.0) {
                 return Err(format!(
                     "{}: seconds_min {} is not a positive finite time",
@@ -105,23 +125,13 @@ impl ServeBenchReport {
     /// # Errors
     /// A readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.bench.is_empty() {
-            return Err("bench name is empty".to_string());
-        }
-        if self.threads_available == 0 {
-            return Err("threads_available must be at least 1".to_string());
-        }
-        if self.measurements.is_empty() {
-            return Err("report has no measurements".to_string());
-        }
-        let mut seen = std::collections::HashSet::new();
+        check_identity(
+            &self.bench,
+            self.threads_available,
+            "measurement",
+            self.measurements.iter().map(|m| m.name.as_str()),
+        )?;
         for m in &self.measurements {
-            if m.name.is_empty() {
-                return Err("a measurement has an empty name".to_string());
-            }
-            if !seen.insert(m.name.as_str()) {
-                return Err(format!("duplicate measurement name {:?}", m.name));
-            }
             for (what, v) in [("p50_ms", m.p50_ms), ("p99_ms", m.p99_ms), ("qps", m.qps)] {
                 if !(v.is_finite() && v > 0.0) {
                     return Err(format!("{}: {what} {v} is not positive and finite", m.name));
@@ -176,23 +186,13 @@ impl StreamBenchReport {
     /// # Errors
     /// A readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.bench.is_empty() {
-            return Err("bench name is empty".to_string());
-        }
-        if self.threads_available == 0 {
-            return Err("threads_available must be at least 1".to_string());
-        }
-        if self.measurements.is_empty() {
-            return Err("report has no measurements".to_string());
-        }
-        let mut seen = std::collections::HashSet::new();
+        check_identity(
+            &self.bench,
+            self.threads_available,
+            "measurement",
+            self.measurements.iter().map(|m| m.name.as_str()),
+        )?;
         for m in &self.measurements {
-            if m.name.is_empty() {
-                return Err("a measurement has an empty name".to_string());
-            }
-            if !seen.insert(m.name.as_str()) {
-                return Err(format!("duplicate measurement name {:?}", m.name));
-            }
             if m.events == 0 {
                 return Err(format!("{}: zero events", m.name));
             }
@@ -271,23 +271,13 @@ impl TargetHksBenchReport {
     /// # Errors
     /// A readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.bench.is_empty() {
-            return Err("bench name is empty".to_string());
-        }
-        if self.threads_available == 0 {
-            return Err("threads_available must be at least 1".to_string());
-        }
-        if self.cells.is_empty() {
-            return Err("report has no cells".to_string());
-        }
-        let mut seen = std::collections::HashSet::new();
+        check_identity(
+            &self.bench,
+            self.threads_available,
+            "cell",
+            self.cells.iter().map(|c| c.name.as_str()),
+        )?;
         for c in &self.cells {
-            if c.name.is_empty() {
-                return Err("a cell has an empty name".to_string());
-            }
-            if !seen.insert(c.name.as_str()) {
-                return Err(format!("duplicate cell name {:?}", c.name));
-            }
             if c.k < 2 || c.vertices <= c.k {
                 return Err(format!(
                     "{}: grid cell needs vertices > k >= 2, got n={} k={}",
@@ -615,6 +605,19 @@ mod tests {
         let mut r = sample_targethks_report();
         r.cells[0].par_weight = 40.0;
         assert!(r.anytime_acceptance().is_err());
+    }
+
+    #[test]
+    fn every_report_runs_the_shared_identity_checks() {
+        let mut serve = sample_serve_report();
+        serve.threads_available = 0;
+        assert!(serve.validate().is_err());
+        let mut stream = sample_stream_report();
+        stream.bench.clear();
+        assert!(stream.validate().is_err());
+        let mut targethks = sample_targethks_report();
+        targethks.cells[0].name.clear();
+        assert!(targethks.validate().is_err());
     }
 
     #[test]

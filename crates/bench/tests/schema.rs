@@ -5,7 +5,7 @@
 //! `--metrics-json` must round-trip under its schema tag.
 
 use comparesets_bench::{BenchReport, ServeBenchReport, StreamBenchReport, TargetHksBenchReport};
-use comparesets_core::{MetricsReport, SolverMetrics};
+use comparesets_core::{MetricsReport, SolverMetrics, COUNTERS, METRICS_SCHEMA};
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -245,247 +245,57 @@ fn metrics_report_format_round_trips_under_its_schema_tag() {
     assert_eq!(back.metrics.nomp_pursuits, 3);
 }
 
-#[test]
-fn metrics_schema_v2_carries_the_preemption_counters() {
-    // v2 added the preemption/ingestion counters; the serialized report
-    // must still carry all three so consumers can rely on the tag family
-    // to know the fields exist.
-    let collector = SolverMetrics::new();
-    SolverMetrics::add(&collector.cancellation_checks, 7);
-    SolverMetrics::incr(&collector.deadline_expirations);
-    SolverMetrics::add(&collector.io_retries, 2);
-    let report = MetricsReport::new("eval", std::time::Duration::from_millis(5), &collector);
-    let json = serde_json::to_string(&report).unwrap();
-    for field in [
-        ",\"cancellation_checks\":7",
-        ",\"deadline_expirations\":1",
-        ",\"io_retries\":2",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
-    }
-    // A v1 report (no preemption counters) still parses: the fields
-    // default to zero rather than failing deserialization.
-    let v1 = json
-        .replace(",\"cancellation_checks\":7", "")
-        .replace(",\"deadline_expirations\":1", "")
-        .replace(",\"io_retries\":2", "")
-        .replace(comparesets_core::METRICS_SCHEMA, "comparesets-metrics/v1");
-    let back: MetricsReport = serde_json::from_str(&v1).unwrap();
-    assert!(!back.schema_matches());
-    assert_eq!(back.metrics.cancellation_checks, 0);
-    assert_eq!(back.metrics.io_retries, 0);
+/// A `--metrics-json` report tagged `tag` whose metrics object holds the
+/// counters `keep` accepts (by name and version added), each set to one
+/// plus its index in [`COUNTERS`], or to 0 when `zero` accepts its version.
+fn metrics_json(tag: &str, keep: impl Fn(&str, u32) -> bool, zero: impl Fn(u32) -> bool) -> String {
+    let fields: Vec<String> = COUNTERS
+        .iter()
+        .enumerate()
+        .filter(|&(_, &(name, version))| keep(name, version))
+        .map(|(i, &(name, version))| {
+            let value = if zero(version) { 0 } else { i + 1 };
+            format!("\"{name}\":{value}")
+        })
+        .collect();
+    format!(
+        "{{\"schema\":\"{tag}\",\"command\":\"select\",\"wall_ms\":3.5,\"metrics\":{{{}}}}}",
+        fields.join(",")
+    )
 }
 
 #[test]
-fn metrics_schema_v3_carries_the_warm_start_counters() {
-    // The warm-start and incremental-correlation counters landed with the
-    // v3 tag; serialized reports carry all four, and older tag
-    // generations still parse with the new fields defaulting to zero.
-    let collector = SolverMetrics::new();
-    SolverMetrics::add(&collector.warm_start_hits, 11);
-    SolverMetrics::incr(&collector.warm_start_truncations);
-    SolverMetrics::add(&collector.corr_incremental_updates, 40);
-    SolverMetrics::add(&collector.corr_exact_recomputes, 5);
-    let report = MetricsReport::new("select", std::time::Duration::from_millis(3), &collector);
-    assert!(report.schema_matches());
-    let json = serde_json::to_string(&report).unwrap();
-    for field in [
-        ",\"warm_start_hits\":11",
-        ",\"warm_start_truncations\":1",
-        ",\"corr_incremental_updates\":40",
-        ",\"corr_exact_recomputes\":5",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
-    }
-    // v2 (and v1) reports predate the counters: stripping them and
-    // downgrading the tag must still deserialize, defaulting to zero.
-    let stripped = json
-        .replace(",\"warm_start_hits\":11", "")
-        .replace(",\"warm_start_truncations\":1", "")
-        .replace(",\"corr_incremental_updates\":40", "")
-        .replace(",\"corr_exact_recomputes\":5", "");
-    for old_tag in ["comparesets-metrics/v2", "comparesets-metrics/v1"] {
-        let old = stripped.replace(comparesets_core::METRICS_SCHEMA, old_tag);
-        let back: MetricsReport = serde_json::from_str(&old).unwrap();
+fn metrics_schema_history_defaults_exactly_the_newer_counters_to_zero() {
+    assert_eq!(METRICS_SCHEMA, "comparesets-metrics/v8");
+    let current = COUNTERS.iter().map(|c| c.1).max().unwrap();
+    assert_eq!(METRICS_SCHEMA, format!("comparesets-metrics/v{current}"));
+
+    // A current report carries every counter, in list order, byte for byte.
+    let full = metrics_json(METRICS_SCHEMA, |_, _| true, |_| false);
+    let back: MetricsReport = serde_json::from_str(&full).unwrap();
+    assert!(back.schema_matches());
+    assert_eq!(serde_json::to_string(&back).unwrap(), full);
+
+    // An older report lacks the counters added at or after the version
+    // that followed it: exactly those read 0, every other keeps its value.
+    for version in 2..=current {
+        let old_tag = format!("comparesets-metrics/v{}", version - 1);
+        let old = metrics_json(&old_tag, |_, v| v < version, |_| false);
+        let back: MetricsReport = serde_json::from_str(&old)
+            .unwrap_or_else(|e| panic!("{old_tag} report does not parse: {e}"));
         assert!(!back.schema_matches());
-        assert_eq!(back.metrics.warm_start_hits, 0);
-        assert_eq!(back.metrics.corr_exact_recomputes, 0);
+        let expected = metrics_json(&old_tag, |_, _| true, |v| v >= version);
+        assert_eq!(serde_json::to_string(&back).unwrap(), expected, "{old_tag}");
     }
-}
 
-#[test]
-fn metrics_schema_v4_carries_the_serving_counters() {
-    // The serving daemon landed with the v4 tag; serialized reports carry
-    // the session-cache and admission counters, and v3-tagged reports
-    // (no serving fields) still parse with the fields defaulting to zero.
-    let collector = SolverMetrics::new();
-    SolverMetrics::add(&collector.serve_requests, 9);
-    SolverMetrics::add(&collector.serve_full_hits, 4);
-    SolverMetrics::add(&collector.serve_warm_hits, 3);
-    SolverMetrics::add(&collector.serve_cache_misses, 2);
-    SolverMetrics::incr(&collector.serve_cache_evictions);
-    SolverMetrics::incr(&collector.serve_degraded);
-    let report = MetricsReport::new("serve", std::time::Duration::from_millis(3), &collector);
-    assert!(report.schema_matches());
-    let json = serde_json::to_string(&report).unwrap();
-    for field in [
-        ",\"serve_requests\":9",
-        ",\"serve_full_hits\":4",
-        ",\"serve_warm_hits\":3",
-        ",\"serve_cache_misses\":2",
-        ",\"serve_cache_evictions\":1",
-        ",\"serve_degraded\":1",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
+    // v1 counters have no default: a report missing any of them is broken.
+    for &(missing, _) in COUNTERS.iter().filter(|c| c.1 == 1) {
+        let broken = metrics_json(
+            "comparesets-metrics/v1",
+            |name, v| v == 1 && name != missing,
+            |_| false,
+        );
+        let err = serde_json::from_str::<MetricsReport>(&broken).unwrap_err();
+        assert!(err.to_string().contains(missing), "{missing}: {err}");
     }
-    let stripped = json
-        .replace(",\"serve_requests\":9", "")
-        .replace(",\"serve_full_hits\":4", "")
-        .replace(",\"serve_warm_hits\":3", "")
-        .replace(",\"serve_cache_misses\":2", "")
-        .replace(",\"serve_cache_evictions\":1", "")
-        .replace(",\"serve_degraded\":1", "")
-        .replace(comparesets_core::METRICS_SCHEMA, "comparesets-metrics/v3");
-    let back: MetricsReport = serde_json::from_str(&stripped).unwrap();
-    assert!(!back.schema_matches());
-    assert_eq!(back.metrics.serve_requests, 0);
-    assert_eq!(back.metrics.serve_degraded, 0);
-}
-
-#[test]
-fn metrics_schema_v5_carries_the_streaming_counters() {
-    // The durable streaming store landed with the v5 tag; serialized
-    // reports carry the WAL/snapshot/recovery counters, and v4-tagged
-    // reports (no streaming fields) still parse defaulting to zero.
-    let collector = SolverMetrics::new();
-    SolverMetrics::add(&collector.wal_appends, 12);
-    SolverMetrics::add(&collector.wal_fsyncs, 7);
-    SolverMetrics::incr(&collector.snapshot_writes);
-    SolverMetrics::add(&collector.recovery_replayed_records, 5);
-    SolverMetrics::add(&collector.cache_invalidations, 3);
-    let report = MetricsReport::new("serve", std::time::Duration::from_millis(3), &collector);
-    assert!(report.schema_matches());
-    let json = serde_json::to_string(&report).unwrap();
-    for field in [
-        ",\"wal_appends\":12",
-        ",\"wal_fsyncs\":7",
-        ",\"snapshot_writes\":1",
-        ",\"recovery_replayed_records\":5",
-        ",\"cache_invalidations\":3",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
-    }
-    let stripped = json
-        .replace(",\"wal_appends\":12", "")
-        .replace(",\"wal_fsyncs\":7", "")
-        .replace(",\"snapshot_writes\":1", "")
-        .replace(",\"recovery_replayed_records\":5", "")
-        .replace(",\"cache_invalidations\":3", "")
-        .replace(comparesets_core::METRICS_SCHEMA, "comparesets-metrics/v4");
-    let back: MetricsReport = serde_json::from_str(&stripped).unwrap();
-    assert!(!back.schema_matches());
-    assert_eq!(back.metrics.wal_appends, 0);
-    assert_eq!(back.metrics.cache_invalidations, 0);
-}
-
-#[test]
-fn metrics_schema_v6_carries_the_bnb_counters() {
-    // The parallel branch-and-bound landed with the v6 tag; serialized
-    // reports carry the B&B search counters, and v5-tagged reports (no
-    // B&B fields) still parse defaulting to zero.
-    let collector = SolverMetrics::new();
-    SolverMetrics::add(&collector.bnb_nodes, 41);
-    SolverMetrics::add(&collector.bnb_prunes, 17);
-    SolverMetrics::add(&collector.bnb_incumbent_updates, 3);
-    SolverMetrics::add(&collector.bnb_steals, 2);
-    let report = MetricsReport::new("narrow", std::time::Duration::from_millis(3), &collector);
-    assert!(report.schema_matches());
-    let json = serde_json::to_string(&report).unwrap();
-    for field in [
-        ",\"bnb_nodes\":41",
-        ",\"bnb_prunes\":17",
-        ",\"bnb_incumbent_updates\":3",
-        ",\"bnb_steals\":2",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
-    }
-    let stripped = json
-        .replace(",\"bnb_nodes\":41", "")
-        .replace(",\"bnb_prunes\":17", "")
-        .replace(",\"bnb_incumbent_updates\":3", "")
-        .replace(",\"bnb_steals\":2", "")
-        .replace(comparesets_core::METRICS_SCHEMA, "comparesets-metrics/v5");
-    let back: MetricsReport = serde_json::from_str(&stripped).unwrap();
-    assert!(!back.schema_matches());
-    assert_eq!(back.metrics.bnb_nodes, 0);
-    assert_eq!(back.metrics.bnb_steals, 0);
-}
-
-#[test]
-fn metrics_schema_v7_carries_the_chaos_and_drain_counters() {
-    // The chaos plane + graceful drain landed with the v7 tag;
-    // serialized reports carry the fault/drain/timeout/health counters,
-    // and v6-tagged reports (no chaos fields) still parse defaulting to
-    // zero.
-    let collector = SolverMetrics::new();
-    SolverMetrics::add(&collector.faults_injected, 23);
-    SolverMetrics::add(&collector.drain_initiated, 1);
-    SolverMetrics::add(&collector.connections_timed_out, 4);
-    SolverMetrics::add(&collector.health_checks, 9);
-    let report = MetricsReport::new("serve", std::time::Duration::from_millis(3), &collector);
-    assert!(report.schema_matches());
-    let json = serde_json::to_string(&report).unwrap();
-    for field in [
-        ",\"faults_injected\":23",
-        ",\"drain_initiated\":1",
-        ",\"connections_timed_out\":4",
-        ",\"health_checks\":9",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
-    }
-    let stripped = json
-        .replace(",\"faults_injected\":23", "")
-        .replace(",\"drain_initiated\":1", "")
-        .replace(",\"connections_timed_out\":4", "")
-        .replace(",\"health_checks\":9", "")
-        .replace(comparesets_core::METRICS_SCHEMA, "comparesets-metrics/v6");
-    let back: MetricsReport = serde_json::from_str(&stripped).unwrap();
-    assert!(!back.schema_matches());
-    assert_eq!(back.metrics.faults_injected, 0);
-    assert_eq!(back.metrics.health_checks, 0);
-}
-
-#[test]
-fn metrics_schema_v8_carries_the_sparse_kernel_counters() {
-    // The sparse/SIMD kernel rewrite landed with the v8 tag; serialized
-    // reports carry the backend-classification and SIMD-block counters,
-    // and v7-tagged reports (no sparse fields) still parse defaulting to
-    // zero.
-    assert_eq!(comparesets_core::METRICS_SCHEMA, "comparesets-metrics/v8");
-    let collector = SolverMetrics::new();
-    SolverMetrics::add(&collector.sparse_corr_scans, 6);
-    SolverMetrics::add(&collector.dense_corr_scans, 2);
-    SolverMetrics::add(&collector.sparse_gram_builds, 5);
-    SolverMetrics::add(&collector.simd_blocks, 800);
-    let report = MetricsReport::new("select", std::time::Duration::from_millis(3), &collector);
-    assert!(report.schema_matches());
-    let json = serde_json::to_string(&report).unwrap();
-    for field in [
-        ",\"sparse_corr_scans\":6",
-        ",\"dense_corr_scans\":2",
-        ",\"sparse_gram_builds\":5",
-        ",\"simd_blocks\":800",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
-    }
-    let stripped = json
-        .replace(",\"sparse_corr_scans\":6", "")
-        .replace(",\"dense_corr_scans\":2", "")
-        .replace(",\"sparse_gram_builds\":5", "")
-        .replace(",\"simd_blocks\":800", "")
-        .replace(comparesets_core::METRICS_SCHEMA, "comparesets-metrics/v7");
-    let back: MetricsReport = serde_json::from_str(&stripped).unwrap();
-    assert!(!back.schema_matches());
-    assert_eq!(back.metrics.sparse_corr_scans, 0);
-    assert_eq!(back.metrics.simd_blocks, 0);
 }

@@ -29,11 +29,12 @@
 //!   subproblems (subtrees above [`ExactOptions::spawn_depth`] become
 //!   frontier tasks, deeper subtrees run as sequential DFS inside a task
 //!   to bound scheduling overhead) with a CAS-improved atomic incumbent.
-//!   The B&B manages its own scoped `std::thread` workers — the same
-//!   discipline `comparesets-serve` uses for connections. Sequential and
-//!   parallel runs prove the same optimum; on timeout the frontier's
-//!   surviving bounds yield a much tighter anytime gap than the
-//!   sequential root bound (ARCHITECTURE.md §3).
+//!   That DFS is the one the sequential mode runs from the root on the
+//!   calling thread. The B&B manages its own scoped `std::thread`
+//!   workers — the same discipline `comparesets-serve` uses for
+//!   connections. Sequential and parallel runs prove the same optimum;
+//!   on timeout the frontier's surviving bounds yield a much tighter
+//!   anytime gap than the sequential root bound (ARCHITECTURE.md §3).
 
 use crate::greedy::solve_greedy;
 use crate::similarity::SimilarityGraph;
@@ -276,91 +277,8 @@ fn gain_order(graph: &SimilarityGraph, chosen: &[usize], cands: &[usize]) -> Vec
 }
 
 // ---------------------------------------------------------------------
-// Sequential search (threads <= 1)
+// Search core (both modes)
 // ---------------------------------------------------------------------
-
-struct SeqSearch<'g, 'p> {
-    graph: &'g SimilarityGraph,
-    k: usize,
-    preempt: &'p Preempt<'p>,
-    best_weight: f64,
-    best_set: Vec<usize>,
-    counters: Counters,
-    timed_out: bool,
-}
-
-impl SeqSearch<'_, '_> {
-    fn dfs(&mut self, chosen: &mut Vec<usize>, current: f64, cands: &[usize]) {
-        self.counters.nodes += 1;
-        if self.preempt.fired() {
-            self.timed_out = true;
-            return;
-        }
-        if chosen.len() == self.k {
-            if current > self.best_weight {
-                self.best_weight = current;
-                self.best_set = chosen.clone();
-                self.counters.incumbent_updates += 1;
-            }
-            return;
-        }
-        let r = self.k - chosen.len();
-        if cands.len() < r {
-            return; // Cannot complete.
-        }
-        if upper_bound(self.graph, chosen, current, cands, r) <= self.best_weight + EPS {
-            self.counters.prunes += 1;
-            return;
-        }
-        let order = gain_order(self.graph, chosen, cands);
-        for (pos, &v) in order.iter().enumerate() {
-            let gain = self.graph.weight_to_set(v, chosen);
-            chosen.push(v);
-            self.dfs(chosen, current + gain, &order[pos + 1..]);
-            chosen.pop();
-            if self.timed_out {
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parallel search (threads >= 2)
-// ---------------------------------------------------------------------
-
-/// A frontier subproblem: complete `chosen` (weight `current`) using
-/// vertices from `cands` only. Heap-ordered by `ub` so workers always
-/// pull the most promising open subtree (best-first), which is also what
-/// keeps the anytime gap tight: the frontier maximum *is* the bound on
-/// everything unexplored.
-struct Task {
-    ub: f64,
-    chosen: Vec<usize>,
-    current: f64,
-    cands: Vec<usize>,
-    producer: usize,
-}
-
-impl PartialEq for Task {
-    fn eq(&self, other: &Self) -> bool {
-        self.ub == other.ub
-    }
-}
-impl Eq for Task {}
-impl PartialOrd for Task {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Task {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Bounds are finite (sums of finite non-negative weights).
-        self.ub
-            .partial_cmp(&other.ub)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
 
 /// The shared best incumbent: a mutex-held source of truth plus an atomic
 /// mirror of the weight bits so the hot pruning path never locks.
@@ -409,6 +327,98 @@ impl Incumbent {
     }
 }
 
+/// The depth-first search both modes run, pruning against one shared
+/// [`Incumbent`]. With `threads ≤ 1` the solve runs [`Search::dfs`] from
+/// the root on the calling thread; with more, [`ParShared`] wraps it and
+/// each worker runs it below the spawn depth.
+struct Search<'g, 'p> {
+    graph: &'g SimilarityGraph,
+    k: usize,
+    preempt: &'p Preempt<'p>,
+    incumbent: Incumbent,
+}
+
+impl Search<'_, '_> {
+    /// DFS over completions of `chosen` from `cands` in gain order,
+    /// pruning against the shared incumbent. Returns false when
+    /// cancellation interrupted the subtree (in parallel, its remaining
+    /// work is then covered by the task's recorded bound).
+    fn dfs(
+        &self,
+        chosen: &mut Vec<usize>,
+        current: f64,
+        cands: &[usize],
+        counters: &mut Counters,
+    ) -> bool {
+        counters.nodes += 1;
+        if self.preempt.fired() {
+            return false;
+        }
+        if chosen.len() == self.k {
+            if self.incumbent.try_improve(current, chosen) {
+                counters.incumbent_updates += 1;
+            }
+            return true;
+        }
+        let r = self.k - chosen.len();
+        if cands.len() < r {
+            return true; // Cannot complete.
+        }
+        if upper_bound(self.graph, chosen, current, cands, r) <= self.incumbent.weight() + EPS {
+            counters.prunes += 1;
+            return true;
+        }
+        let order = gain_order(self.graph, chosen, cands);
+        for (pos, &v) in order.iter().enumerate() {
+            let gain = self.graph.weight_to_set(v, chosen);
+            chosen.push(v);
+            let completed = self.dfs(chosen, current + gain, &order[pos + 1..], counters);
+            chosen.pop();
+            if !completed {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+// ---------------------------------------------------------------------
+// Parallel search (threads >= 2)
+// ---------------------------------------------------------------------
+
+/// A frontier subproblem: complete `chosen` (weight `current`) using
+/// vertices from `cands` only. Heap-ordered by `ub` so workers always
+/// pull the most promising open subtree (best-first), which is also what
+/// keeps the anytime gap tight: the frontier maximum *is* the bound on
+/// everything unexplored.
+struct Task {
+    ub: f64,
+    chosen: Vec<usize>,
+    current: f64,
+    cands: Vec<usize>,
+    producer: usize,
+}
+
+impl PartialEq for Task {
+    fn eq(&self, other: &Self) -> bool {
+        self.ub == other.ub
+    }
+}
+impl Eq for Task {}
+impl PartialOrd for Task {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Task {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Bounds are finite (sums of finite non-negative weights).
+        self.ub
+            .partial_cmp(&other.ub)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+}
+
 struct Frontier {
     heap: Mutex<BinaryHeap<Task>>,
     /// Tasks queued plus tasks currently being processed; workers may
@@ -434,12 +444,10 @@ impl Frontier {
     }
 }
 
+/// The parallel best-first frontier around the shared [`Search`].
 struct ParShared<'g, 'p> {
-    graph: &'g SimilarityGraph,
-    k: usize,
+    search: Search<'g, 'p>,
     spawn_depth: usize,
-    preempt: &'p Preempt<'p>,
-    incumbent: Incumbent,
     frontier: Frontier,
     /// Max admissible bound over subproblems abandoned mid-flight by a
     /// cancelled worker (f64 bits under a max-CAS); combined with the
@@ -463,63 +471,22 @@ impl ParShared<'_, '_> {
         }
     }
 
-    /// Sequential DFS below the spawn depth, pruning against the shared
-    /// incumbent. Returns false when cancellation interrupted the subtree
-    /// (its remaining work is then covered by the task's recorded bound).
-    fn dfs(
-        &self,
-        chosen: &mut Vec<usize>,
-        current: f64,
-        cands: &[usize],
-        counters: &mut Counters,
-    ) -> bool {
-        counters.nodes += 1;
-        if self.preempt.fired() {
-            return false;
-        }
-        if chosen.len() == self.k {
-            if self.incumbent.try_improve(current, chosen) {
-                counters.incumbent_updates += 1;
-            }
-            return true;
-        }
-        let r = self.k - chosen.len();
-        if cands.len() < r {
-            return true;
-        }
-        if upper_bound(self.graph, chosen, current, cands, r) <= self.incumbent.weight() + EPS {
-            counters.prunes += 1;
-            return true;
-        }
-        let order = gain_order(self.graph, chosen, cands);
-        for (pos, &v) in order.iter().enumerate() {
-            let gain = self.graph.weight_to_set(v, chosen);
-            chosen.push(v);
-            let completed = self.dfs(chosen, current + gain, &order[pos + 1..], counters);
-            chosen.pop();
-            if !completed {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Process one frontier task: prune, expand one level into child
     /// tasks (above the spawn depth), or solve the subtree by DFS.
     fn process(&self, task: Task, worker: usize, counters: &mut Counters) {
         counters.nodes += 1;
-        if self.preempt.fired() {
+        if self.search.preempt.fired() {
             self.record_abandoned(task.ub);
             return;
         }
-        if task.ub <= self.incumbent.weight() + EPS {
+        if task.ub <= self.search.incumbent.weight() + EPS {
             counters.prunes += 1;
             return;
         }
-        let r = self.k - task.chosen.len();
+        let r = self.search.k - task.chosen.len();
         debug_assert!(r >= 1);
         let depth = task.chosen.len() - 1;
-        let order = gain_order(self.graph, &task.chosen, &task.cands);
+        let order = gain_order(self.search.graph, &task.chosen, &task.cands);
         if depth < self.spawn_depth && r > 1 {
             // Publish each child subtree as a stealable frontier task.
             let mut chosen = task.chosen.clone();
@@ -528,11 +495,11 @@ impl ParShared<'_, '_> {
                 if rest.len() < r - 1 {
                     break; // Even shorter suffixes cannot complete either.
                 }
-                let gain = self.graph.weight_to_set(v, &chosen);
+                let gain = self.search.graph.weight_to_set(v, &chosen);
                 chosen.push(v);
                 let current = task.current + gain;
-                let ub = upper_bound(self.graph, &chosen, current, rest, r - 1);
-                if ub <= self.incumbent.weight() + EPS {
+                let ub = upper_bound(self.search.graph, &chosen, current, rest, r - 1);
+                if ub <= self.search.incumbent.weight() + EPS {
                     counters.prunes += 1;
                 } else {
                     self.frontier.push(Task {
@@ -550,9 +517,9 @@ impl ParShared<'_, '_> {
             // The task node itself was counted above; descend directly
             // into its branches so it is not double-counted by dfs().
             for (pos, &v) in order.iter().enumerate() {
-                let gain = self.graph.weight_to_set(v, &chosen);
+                let gain = self.search.graph.weight_to_set(v, &chosen);
                 chosen.push(v);
-                let completed = self.dfs(
+                let completed = self.search.dfs(
                     &mut chosen,
                     task.current + gain,
                     &order[pos + 1..],
@@ -570,7 +537,7 @@ impl ParShared<'_, '_> {
     fn worker(&self, id: usize) -> Counters {
         let mut counters = Counters::default();
         loop {
-            if self.preempt.fired() {
+            if self.search.preempt.fired() {
                 break;
             }
             match self.frontier.pop() {
@@ -639,39 +606,22 @@ pub fn solve_exact(
     let root_chosen = vec![target];
     let root_ub = upper_bound(graph, &root_chosen, 0.0, &cands, k - 1);
 
+    let search = Search {
+        graph,
+        k,
+        preempt: &preempt,
+        incumbent: Incumbent::new(warm_weight, warm),
+    };
     let (best_weight, best_set, counters, timed_out, open_ub) = if options.threads >= 2 {
-        solve_parallel(
-            graph,
-            k,
-            root_chosen,
-            cands,
-            root_ub,
-            warm_weight,
-            warm,
-            options,
-            &preempt,
-        )
+        solve_parallel(search, root_chosen, cands, root_ub, options)
     } else {
-        let mut search = SeqSearch {
-            graph,
-            k,
-            preempt: &preempt,
-            best_weight: warm_weight,
-            best_set: warm,
-            counters: Counters::default(),
-            timed_out: false,
-        };
+        let mut counters = Counters::default();
         let mut chosen = root_chosen;
-        search.dfs(&mut chosen, 0.0, &cands);
+        let completed = search.dfs(&mut chosen, 0.0, &cands, &mut counters);
+        let (best_weight, best_set) = search.incumbent.into_inner();
         // The sequential DFS certifies only the root bound on timeout;
         // the parallel frontier would certify a tighter one.
-        (
-            search.best_weight,
-            search.best_set,
-            search.counters,
-            search.timed_out,
-            root_ub,
-        )
+        (best_weight, best_set, counters, !completed, root_ub)
     };
 
     if let Some(metrics) = options.metrics.as_deref() {
@@ -709,24 +659,17 @@ pub fn solve_exact(
 /// whether the solve was preempted, and the tightest certificate on the
 /// unexplored remainder (max bound over frontier leftovers and abandoned
 /// in-flight subproblems; `NEG_INFINITY` when everything was explored).
-#[allow(clippy::too_many_arguments)]
 fn solve_parallel(
-    graph: &SimilarityGraph,
-    k: usize,
+    search: Search<'_, '_>,
     root_chosen: Vec<usize>,
     cands: Vec<usize>,
     root_ub: f64,
-    warm_weight: f64,
-    warm: Vec<usize>,
     options: &ExactOptions,
-    preempt: &Preempt<'_>,
 ) -> (f64, Vec<usize>, Counters, bool, f64) {
+    let preempt = search.preempt;
     let shared = ParShared {
-        graph,
-        k,
+        search,
         spawn_depth: options.spawn_depth.max(1),
-        preempt,
-        incumbent: Incumbent::new(warm_weight, warm),
         frontier: Frontier {
             heap: Mutex::new(BinaryHeap::new()),
             open: AtomicUsize::new(0),
@@ -764,7 +707,7 @@ fn solve_parallel(
             open_ub = open_ub.max(top.ub);
         }
     }
-    let (best_weight, best_set) = shared.incumbent.into_inner();
+    let (best_weight, best_set) = shared.search.incumbent.into_inner();
     // TimeLimit only when preempted *and* something unexplored could
     // still beat the incumbent — if every surviving bound is dominated,
     // the incumbent is proven optimal even though the clock ran out.

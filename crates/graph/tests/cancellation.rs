@@ -16,7 +16,7 @@ use comparesets_core::{
 };
 use comparesets_data::CategoryPreset;
 use comparesets_graph::{solve_exact, solve_greedy, ExactOptions, SimilarityGraph, SolveStatus};
-use comparesets_obs::CancelToken;
+use comparesets_obs::{CancelToken, SolverMetrics};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -184,6 +184,54 @@ fn sequential_kill_points_are_deterministic() {
         assert_eq!(a.nodes, b.nodes, "budget {budget}");
         assert_eq!(a.status, b.status, "budget {budget}");
         assert_eq!(a.gap.to_bits(), b.gap.to_bits(), "budget {budget}");
+    }
+}
+
+#[test]
+fn sequential_trajectory_is_pinned_at_every_kill_point() {
+    // Literals recorded from the sequential search as it stood before the
+    // sequential and parallel DFS were merged into one search core. Any
+    // change to prune order, node counting or incumbent publication moves
+    // a node count, a prune count or the gap bits here, even where the
+    // final vertex set survives.
+    use SolveStatus::{Optimal as OPT, TimeLimit as TL};
+    // (kill budget, nodes, prunes, incumbent updates, status, gap bits, vertices)
+    #[rustfmt::skip]
+    type Pin = (Option<u64>, u64, u64, u64, SolveStatus, u64, &'static [usize]);
+    #[rustfmt::skip]
+    let feed: [Pin; 4] = [
+        (Some(1), 2, 0, 0, TL, 0x4022d90fd90276f8, &[0, 1, 6, 7, 8]),
+        (Some(7), 8, 4, 0, TL, 0x4022d90fd90276f8, &[0, 1, 6, 7, 8]),
+        (Some(50), 51, 38, 0, TL, 0x4022d90fd90276f8, &[0, 1, 6, 7, 8]),
+        (None, 77, 56, 0, OPT, 0, &[0, 1, 6, 7, 8]),
+    ];
+    #[rustfmt::skip]
+    let seed: [Pin; 4] = [
+        (Some(1), 2, 0, 0, TL, 0x4039539841a59a88, &[0, 1, 2, 5, 8, 10]),
+        (Some(7), 8, 3, 0, TL, 0x4039539841a59a88, &[0, 1, 2, 5, 8, 10]),
+        (Some(50), 51, 31, 1, TL, 0x4037b894903cf3ec, &[0, 1, 5, 7, 8, 15]),
+        (None, 133, 82, 2, OPT, 0, &[0, 1, 5, 7, 8, 10]),
+    ];
+    for (rng_seed, n, k, pins) in [(0xfeed, 13, 5, feed), (0x5eed, 16, 6, seed)] {
+        let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
+        let g = random_graph(&mut rng, n, 10.0);
+        for (budget, nodes, prunes, updates, status, gap_bits, vertices) in pins {
+            let metrics = Arc::new(SolverMetrics::new());
+            let mut opts = ExactOptions::default().with_metrics(Arc::clone(&metrics));
+            if let Some(budget) = budget {
+                opts = opts.with_cancel(Arc::new(CancelToken::cancel_after(budget)));
+            }
+            let r = solve_exact(&g, 0, k, &opts);
+            let snap = metrics.snapshot();
+            let at = format!("seed {rng_seed:#x} budget {budget:?}");
+            assert_eq!(r.nodes, nodes, "{at}");
+            assert_eq!(snap.bnb_nodes, nodes, "{at}");
+            assert_eq!(snap.bnb_prunes, prunes, "{at}");
+            assert_eq!(snap.bnb_incumbent_updates, updates, "{at}");
+            assert_eq!(r.status, status, "{at}");
+            assert_eq!(r.gap.to_bits(), gap_bits, "{at}");
+            assert_eq!(r.vertices, vertices, "{at}");
+        }
     }
 }
 

@@ -19,159 +19,205 @@
 //! concurrent solves (the serving daemon's workers, the TargetHkS
 //! branch-and-bound's scoped threads); increments interleave freely and
 //! the totals are sums over every solve that reported into it.
+//!
+//! Every counter is declared once, in the `counters!` list below: its doc
+//! comment, its name and the schema version that added it. Adding a
+//! counter is one list entry plus a [`METRICS_SCHEMA`] bump; [`COUNTERS`]
+//! exposes the list at run time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 mod cancel;
 
 pub use cancel::{CancelToken, SolveCtl};
 
-/// Schema tag embedded in every [`MetricsReport`]; bump on breaking
-/// layout changes so downstream tooling can detect drift.
-///
-/// v2 added the preemption/ingestion counters `cancellation_checks`,
-/// `deadline_expirations`, and `io_retries`. v3 added the warm-start and
-/// incremental-correlation counters `warm_start_hits`,
-/// `warm_start_truncations`, `corr_incremental_updates`, and
-/// `corr_exact_recomputes`. v4 added the serving counters
-/// `serve_requests`, `serve_full_hits`, `serve_warm_hits`,
-/// `serve_cache_misses`, `serve_cache_evictions`, and `serve_degraded`.
-/// v5 added the durability counters `wal_appends`, `wal_fsyncs`,
-/// `snapshot_writes`, `recovery_replayed_records`, and
-/// `cache_invalidations`. v6 added the branch-and-bound counters
-/// `bnb_nodes`, `bnb_prunes`, `bnb_incumbent_updates`, and `bnb_steals`.
-/// v7 added the chaos/drain counters `faults_injected`,
-/// `drain_initiated`, `connections_timed_out`, and `health_checks`.
-/// v8 added the sparse-kernel counters `sparse_corr_scans`,
-/// `dense_corr_scans`, `sparse_gram_builds`, and `simd_blocks`.
+/// Schema tag embedded in every [`MetricsReport`]. Bump it whenever a
+/// counter is added (the new entry in [`COUNTERS`] records the bumped
+/// version) or the layout changes, so downstream tooling can detect drift.
 pub const METRICS_SCHEMA: &str = "comparesets-metrics/v8";
 
-/// Shared counter block for one logical run (a CLI command, an eval
-/// experiment, a test solve). Cheap to share via `Arc`; all updates are
-/// relaxed atomic adds.
-#[derive(Debug, Default)]
-pub struct SolverMetrics {
+/// Declares every solver counter once. Each entry is a counter's doc
+/// comment, its name, and the `METRICS_SCHEMA` version that added it.
+/// From the list it generates [`SolverMetrics`] (one `AtomicU64` each),
+/// [`MetricsSnapshot`] (one `u64` each), [`SolverMetrics::snapshot`], the
+/// snapshot's JSON form (fields in list order) and [`COUNTERS`]. A
+/// counter missing from a parsed snapshot reads 0 when it was added after
+/// v1; a missing v1 counter is a parse error.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident: $version:literal,)*) => {
+        /// Shared counter block for one logical run (a CLI command, an eval
+        /// experiment, a test solve). Cheap to share via `Arc`; all updates
+        /// are relaxed atomic adds.
+        #[derive(Debug, Default)]
+        pub struct SolverMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Frozen [`SolverMetrics`] counters — plain data, serialisable,
+        /// and comparable.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// Every counter as `(name, schema version that added it)`, in
+        /// serialization order.
+        pub const COUNTERS: &[(&str, u32)] = &[$((stringify!($name), $version),)*];
+
+        impl SolverMetrics {
+            /// Freeze the counters into a plain-data snapshot.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl Serialize for MetricsSnapshot {
+            fn serialize(&self) -> Value {
+                Value::Object(vec![$((stringify!($name).to_string(), self.$name.serialize()),)*])
+            }
+        }
+
+        impl Deserialize for MetricsSnapshot {
+            fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+                if value.as_object().is_none() {
+                    return Err(serde::Error::invalid_type("object", value));
+                }
+                Ok(MetricsSnapshot {
+                    $($name: match value.get(stringify!($name)) {
+                        Some(v) => u64::deserialize(v)?,
+                        None if $version > 1 => 0,
+                        None => return Err(serde::Error::missing_field(stringify!($name))),
+                    },)*
+                })
+            }
+        }
+    };
+}
+
+counters! {
     /// NOMP pursuits started (one per `nomp_path`/`nomp` call).
-    pub nomp_pursuits: AtomicU64,
+    nomp_pursuits: 1,
     /// Greedy atom-selection iterations across all pursuits.
-    pub nomp_iterations: AtomicU64,
+    nomp_iterations: 1,
     /// Budget snapshots recorded by path-mode pursuits (one per ℓ).
-    pub path_snapshots: AtomicU64,
+    path_snapshots: 1,
     /// Refits served from the incrementally maintained Gram cache
     /// (every refit after the first within a pursuit).
-    pub gram_cache_hits: AtomicU64,
+    gram_cache_hits: 1,
     /// NNLS refits performed (one per accepted atom).
-    pub nnls_refits: AtomicU64,
+    nnls_refits: 1,
     /// Outer Lawson–Hanson iterations summed over all refits.
-    pub nnls_iterations: AtomicU64,
+    nnls_iterations: 1,
     /// Refits that hit the 3n+10 outer-iteration cap without converging.
-    pub nnls_cap_hits: AtomicU64,
+    nnls_cap_hits: 1,
     /// Gram solves that fell back from Cholesky to Householder QR.
-    pub fallback_qr: AtomicU64,
+    fallback_qr: 1,
     /// Gram solves that fell through QR to the ridge-regularised retry.
-    pub fallback_ridge: AtomicU64,
+    fallback_ridge: 1,
     /// Per-item integer regressions solved (Algorithm 1 inner problem).
-    pub integer_regressions: AtomicU64,
+    integer_regressions: 1,
     /// Per-item Gauss–Seidel steps in the CompaReSetS+ alternation.
-    pub alternation_rounds: AtomicU64,
+    alternation_rounds: 1,
     /// Alternation steps whose candidate improved the coupled cost.
-    pub alternation_accepts: AtomicU64,
+    alternation_accepts: 1,
     /// Wall nanoseconds inside NOMP pursuits (greedy loop + refits).
-    pub pursuit_nanos: AtomicU64,
+    pursuit_nanos: 1,
     /// Wall nanoseconds inside NNLS refits (subset of `pursuit_nanos`).
-    pub refit_nanos: AtomicU64,
+    refit_nanos: 1,
     /// Cancellation-token polls performed (counted only when a token is
     /// installed; token-less solves never touch this).
-    pub cancellation_checks: AtomicU64,
+    cancellation_checks: 2,
     /// Solves that observed a fired token/deadline and stopped early
     /// with their best-so-far iterate.
-    pub deadline_expirations: AtomicU64,
+    deadline_expirations: 2,
     /// Transient ingestion I/O errors absorbed by the retrying reader.
-    pub io_retries: AtomicU64,
+    io_retries: 2,
     /// Warm-start iterations served from a validated previous trajectory
     /// (full-target reuse, or a replayed atom whose refit inputs matched
     /// the cached refit bit-for-bit — no NNLS refit executed).
-    pub warm_start_hits: AtomicU64,
+    warm_start_hits: 3,
     /// Warm-start replays abandoned at the first cached atom that was no
     /// longer the argmax (or whose refit inputs changed); at most one per
     /// pursuit — the pursuit continues cold from the truncation point.
-    pub warm_start_truncations: AtomicU64,
+    warm_start_truncations: 3,
     /// Correlation-vector columns updated by the Gram downdate
     /// `c ← c − Δη·G[:,j]` instead of a full `Aᵀr` scan.
-    pub corr_incremental_updates: AtomicU64,
+    corr_incremental_updates: 3,
     /// Exact `Aᵀr` recomputes bounding incremental-correlation drift
     /// (periodic, plus a residual-floor safety trigger).
-    pub corr_exact_recomputes: AtomicU64,
+    corr_exact_recomputes: 3,
     /// Solve requests admitted by the serving daemon (every request that
     /// reached the session cache, whatever its outcome).
-    pub serve_requests: AtomicU64,
+    serve_requests: 4,
     /// Requests answered verbatim from the session cache's result layer —
     /// an exact repeat of a completed query; no solver work at all.
-    pub serve_full_hits: AtomicU64,
+    serve_full_hits: 4,
     /// Requests that found per-item warm states in the session cache and
     /// re-solved through validated reuse instead of from scratch.
-    pub serve_warm_hits: AtomicU64,
+    serve_warm_hits: 4,
     /// Requests that found nothing reusable and solved cold.
-    pub serve_cache_misses: AtomicU64,
+    serve_cache_misses: 4,
     /// Session-cache entries evicted by the LRU capacity bound (result,
     /// context, and warm-state entries all count here).
-    pub serve_cache_evictions: AtomicU64,
+    serve_cache_evictions: 4,
     /// Requests answered with a degraded best-so-far selection because
     /// their admission deadline expired mid-solve.
-    pub serve_degraded: AtomicU64,
+    serve_degraded: 4,
     /// Review events appended to a write-ahead log (one per record, even
     /// when a batch shares a single fsync).
-    pub wal_appends: AtomicU64,
+    wal_appends: 5,
     /// `fsync` calls issued for WAL durability (one per acknowledged
     /// batch — the fsync-on-ack contract).
-    pub wal_fsyncs: AtomicU64,
+    wal_fsyncs: 5,
     /// Corpus snapshots written atomically (each one also compacts the
     /// WAL it covers).
-    pub snapshot_writes: AtomicU64,
+    snapshot_writes: 5,
     /// WAL records replayed on top of a snapshot during crash recovery.
-    pub recovery_replayed_records: AtomicU64,
+    recovery_replayed_records: 5,
     /// Session-cache entries dropped because an ingested event mutated
     /// an item they were keyed on.
-    pub cache_invalidations: AtomicU64,
+    cache_invalidations: 5,
     /// TargetHkS branch-and-bound nodes expanded (sequential and parallel
     /// workers both count here; the aggregate equals `ExactResult.nodes`).
-    pub bnb_nodes: AtomicU64,
+    bnb_nodes: 6,
     /// Subtrees discarded because their admissible upper bound could not
     /// beat the shared incumbent.
-    pub bnb_prunes: AtomicU64,
+    bnb_prunes: 6,
     /// Strict improvements published to the shared best-incumbent (the
     /// greedy warm start does not count; it seeds the incumbent).
-    pub bnb_incumbent_updates: AtomicU64,
+    bnb_incumbent_updates: 6,
     /// Frontier subproblems a worker pulled that a *different* worker
     /// produced (cross-worker work transfer; always zero sequentially).
-    pub bnb_steals: AtomicU64,
+    bnb_steals: 6,
     /// Faults a chaos-plane schedule injected into durability I/O
     /// (always zero in production runs — no plane is armed).
-    pub faults_injected: AtomicU64,
+    faults_injected: 7,
     /// Graceful drains begun (SIGTERM or in-band shutdown while serving).
-    pub drain_initiated: AtomicU64,
+    drain_initiated: 7,
     /// Connections closed for blowing a read/write or per-frame deadline
     /// (slowloris peers, stalled sockets).
-    pub connections_timed_out: AtomicU64,
+    connections_timed_out: 7,
     /// `health` ops answered by the serving daemon.
-    pub health_checks: AtomicU64,
+    health_checks: 7,
     /// Full correlation scans (`c = Aᵀr`) executed against a sparse (CSC)
     /// design matrix — stored-entry iteration, no dense column walks.
-    pub sparse_corr_scans: AtomicU64,
+    sparse_corr_scans: 8,
     /// Full correlation scans executed against a dense design matrix
     /// (the chunked-SIMD fallback path).
-    pub dense_corr_scans: AtomicU64,
+    dense_corr_scans: 8,
     /// Gram columns/rows built from sparse column-column intersections
     /// (merge-joins over stored entries) instead of dense column dots.
-    pub sparse_gram_builds: AtomicU64,
+    sparse_gram_builds: 8,
     /// Full 4-lane SIMD blocks executed by the dense chunked kernels on
     /// metered hot paths (correlation scans and blocked NNLS dual
     /// refreshes); scalar tails are not counted. Zero for pure-sparse
     /// solves — the complement of `sparse_corr_scans` coverage.
-    pub simd_blocks: AtomicU64,
+    simd_blocks: 8,
 }
 
 impl SolverMetrics {
@@ -198,137 +244,6 @@ impl SolverMetrics {
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         counter.fetch_add(nanos, Ordering::Relaxed);
     }
-
-    /// Freeze the counters into a plain-data snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            nomp_pursuits: self.nomp_pursuits.load(Ordering::Relaxed),
-            nomp_iterations: self.nomp_iterations.load(Ordering::Relaxed),
-            path_snapshots: self.path_snapshots.load(Ordering::Relaxed),
-            gram_cache_hits: self.gram_cache_hits.load(Ordering::Relaxed),
-            nnls_refits: self.nnls_refits.load(Ordering::Relaxed),
-            nnls_iterations: self.nnls_iterations.load(Ordering::Relaxed),
-            nnls_cap_hits: self.nnls_cap_hits.load(Ordering::Relaxed),
-            fallback_qr: self.fallback_qr.load(Ordering::Relaxed),
-            fallback_ridge: self.fallback_ridge.load(Ordering::Relaxed),
-            integer_regressions: self.integer_regressions.load(Ordering::Relaxed),
-            alternation_rounds: self.alternation_rounds.load(Ordering::Relaxed),
-            alternation_accepts: self.alternation_accepts.load(Ordering::Relaxed),
-            pursuit_nanos: self.pursuit_nanos.load(Ordering::Relaxed),
-            refit_nanos: self.refit_nanos.load(Ordering::Relaxed),
-            cancellation_checks: self.cancellation_checks.load(Ordering::Relaxed),
-            deadline_expirations: self.deadline_expirations.load(Ordering::Relaxed),
-            io_retries: self.io_retries.load(Ordering::Relaxed),
-            warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
-            warm_start_truncations: self.warm_start_truncations.load(Ordering::Relaxed),
-            corr_incremental_updates: self.corr_incremental_updates.load(Ordering::Relaxed),
-            corr_exact_recomputes: self.corr_exact_recomputes.load(Ordering::Relaxed),
-            serve_requests: self.serve_requests.load(Ordering::Relaxed),
-            serve_full_hits: self.serve_full_hits.load(Ordering::Relaxed),
-            serve_warm_hits: self.serve_warm_hits.load(Ordering::Relaxed),
-            serve_cache_misses: self.serve_cache_misses.load(Ordering::Relaxed),
-            serve_cache_evictions: self.serve_cache_evictions.load(Ordering::Relaxed),
-            serve_degraded: self.serve_degraded.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
-            snapshot_writes: self.snapshot_writes.load(Ordering::Relaxed),
-            recovery_replayed_records: self.recovery_replayed_records.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            bnb_nodes: self.bnb_nodes.load(Ordering::Relaxed),
-            bnb_prunes: self.bnb_prunes.load(Ordering::Relaxed),
-            bnb_incumbent_updates: self.bnb_incumbent_updates.load(Ordering::Relaxed),
-            bnb_steals: self.bnb_steals.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            drain_initiated: self.drain_initiated.load(Ordering::Relaxed),
-            connections_timed_out: self.connections_timed_out.load(Ordering::Relaxed),
-            health_checks: self.health_checks.load(Ordering::Relaxed),
-            sparse_corr_scans: self.sparse_corr_scans.load(Ordering::Relaxed),
-            dense_corr_scans: self.dense_corr_scans.load(Ordering::Relaxed),
-            sparse_gram_builds: self.sparse_gram_builds.load(Ordering::Relaxed),
-            simd_blocks: self.simd_blocks.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Frozen [`SolverMetrics`] counters — plain data, serialisable, and
-/// comparable. Field meanings match the `SolverMetrics` docs.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub struct MetricsSnapshot {
-    pub nomp_pursuits: u64,
-    pub nomp_iterations: u64,
-    pub path_snapshots: u64,
-    pub gram_cache_hits: u64,
-    pub nnls_refits: u64,
-    pub nnls_iterations: u64,
-    pub nnls_cap_hits: u64,
-    pub fallback_qr: u64,
-    pub fallback_ridge: u64,
-    pub integer_regressions: u64,
-    pub alternation_rounds: u64,
-    pub alternation_accepts: u64,
-    pub pursuit_nanos: u64,
-    pub refit_nanos: u64,
-    #[serde(default)]
-    pub cancellation_checks: u64,
-    #[serde(default)]
-    pub deadline_expirations: u64,
-    #[serde(default)]
-    pub io_retries: u64,
-    #[serde(default)]
-    pub warm_start_hits: u64,
-    #[serde(default)]
-    pub warm_start_truncations: u64,
-    #[serde(default)]
-    pub corr_incremental_updates: u64,
-    #[serde(default)]
-    pub corr_exact_recomputes: u64,
-    #[serde(default)]
-    pub serve_requests: u64,
-    #[serde(default)]
-    pub serve_full_hits: u64,
-    #[serde(default)]
-    pub serve_warm_hits: u64,
-    #[serde(default)]
-    pub serve_cache_misses: u64,
-    #[serde(default)]
-    pub serve_cache_evictions: u64,
-    #[serde(default)]
-    pub serve_degraded: u64,
-    #[serde(default)]
-    pub wal_appends: u64,
-    #[serde(default)]
-    pub wal_fsyncs: u64,
-    #[serde(default)]
-    pub snapshot_writes: u64,
-    #[serde(default)]
-    pub recovery_replayed_records: u64,
-    #[serde(default)]
-    pub cache_invalidations: u64,
-    #[serde(default)]
-    pub bnb_nodes: u64,
-    #[serde(default)]
-    pub bnb_prunes: u64,
-    #[serde(default)]
-    pub bnb_incumbent_updates: u64,
-    #[serde(default)]
-    pub bnb_steals: u64,
-    #[serde(default)]
-    pub faults_injected: u64,
-    #[serde(default)]
-    pub drain_initiated: u64,
-    #[serde(default)]
-    pub connections_timed_out: u64,
-    #[serde(default)]
-    pub health_checks: u64,
-    #[serde(default)]
-    pub sparse_corr_scans: u64,
-    #[serde(default)]
-    pub dense_corr_scans: u64,
-    #[serde(default)]
-    pub sparse_gram_builds: u64,
-    #[serde(default)]
-    pub simd_blocks: u64,
 }
 
 impl MetricsSnapshot {

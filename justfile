@@ -1,7 +1,7 @@
 # Local equivalents of the CI gates (.github/workflows/ci.yml).
 
 # Run every CI gate in order.
-ci: fmt-check clippy build test doctest doc smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke sparse-smoke bench-smoke bench-selfcheck
+ci: fmt-check clippy build test doctest doc smoke resume-smoke serve-smoke stream-smoke graph-smoke chaos-smoke bench-smoke bench-selfcheck
 
 fmt:
     cargo fmt
@@ -156,17 +156,15 @@ stream-smoke:
     grep -q '"wal_fsyncs":2' "$tmp/metrics.json"
     echo "stream smoke ok"
 
-# Graph solver smoke: one-sample run of the TargetHkS scaling bench
-# (smoke mode never rewrites BENCH_targethks.json), then an end-to-end
-# parallel exact narrowing through the CLI requiring nonzero v6
-# branch-and-bound counters in the metrics report (mirrors the
-# "Graph smoke" CI step).
+# Graph solver smoke: an end-to-end parallel exact narrowing through the
+# CLI requiring nonzero v6 branch-and-bound counters in the metrics
+# report (mirrors the "Graph smoke" CI step; bench-smoke runs the
+# targethks_scaling bench).
 graph-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
-    COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench --bench targethks_scaling
     cargo run --release -p comparesets-cli -- generate \
         --category cellphone --products 40 --seed 7 --out "$tmp/corpus.json"
     cargo run --release -p comparesets-cli -- narrow \
@@ -216,14 +214,6 @@ chaos-smoke:
     grep -q 'dropped 0 torn byte(s)' "$tmp/recover.out"
     echo "chaos smoke ok"
 
-# Sparse-kernel smoke: one-sample run of the dense-vs-CSC bench bodies
-# (the regression_engine/sparse/* family behind BENCH_sparse.json).
-# Smoke mode never rewrites the committed baseline; the >=2x acceptance
-# on it is a test in crates/bench/tests/schema.rs (mirrors the "Sparse
-# smoke" CI step).
-sparse-smoke:
-    COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench --bench nomp_sparse
-
 # Smoke-size self-check of the end-to-end benchmark (BENCHMARK.json,
 # perfbench/): builds it against the workspace crates, runs every
 # workload traced and untraced, checks names, units and answers, then
@@ -243,9 +233,11 @@ bench-baseline:
     cargo bench -p comparesets-bench --bench stream
     cargo bench -p comparesets-bench --bench targethks_scaling
 
-# One-sample, one-iteration run of every bench group: proves each bench
-# body executes end-to-end without paying measurement-grade runtimes.
-# COMPARESETS_BENCH_SMOKE also keeps the committed baseline
-# (BENCH_parallel_solver.json) untouched.
+# One-sample, one-iteration run of every bench group: builds all 15
+# bench targets and proves each bench body (nomp_sparse and
+# targethks_scaling included) executes end-to-end without paying
+# measurement-grade runtimes. COMPARESETS_BENCH_SMOKE also keeps every
+# committed BENCH_*.json baseline untouched (mirrors the "Bench smoke"
+# CI step).
 bench-smoke:
     COMPARESETS_BENCH_SMOKE=1 cargo bench -p comparesets-bench
